@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -39,12 +40,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_real(text):
-    """Real number, allowing simple fractions such as 1/3."""
+    """Finite real number, allowing simple fractions such as 1/3; anything
+    else raises ValueError, which argparse reports as a usage error."""
     s = str(text).strip()
-    if "/" in s:
-        num, den = s.split("/", 1)
-        return float(num) / float(den)
-    return float(s)
+    num, slash, den = s.partition("/")
+    try:
+        value = float(num) / float(den) if slash else float(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{s!r} is not a finite number")
+    return value
 
 
 def _parse_grid(spec):
@@ -252,7 +258,8 @@ def _apply_config_file(parser, argv):
                 if not line:
                     continue
                 if "=" not in line:
-                    raise DataError(f"{path}: malformed line {line!r}")
+                    print(f"phidiv: {path}: malformed line {line!r}", file=sys.stderr)
+                    raise SystemExit(EXIT_IO)
                 k, v = (s.strip() for s in line.split("=", 1))
                 defaults[k.replace("-", "_")] = v
     except OSError as exc:
@@ -266,7 +273,10 @@ def _apply_config_file(parser, argv):
                 continue
             for a in action._actions:
                 if a.dest == k:
-                    typed[k] = a.type(v) if a.type else v
+                    try:
+                        typed[k] = a.type(v) if a.type else v
+                    except ValueError:
+                        parser.error(f"{path}: invalid value {v!r} for {k}")
         action.set_defaults(**typed)
     return argv
 

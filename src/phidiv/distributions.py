@@ -10,6 +10,7 @@ refinement.  Absolute accuracy is better than 1e-10 over the usable range.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 _EPS = 1e-15
 _MAX_ITER = 500
@@ -84,21 +85,28 @@ def chi2_pdf(x, k):
                     - math.lgamma(a))
 
 
+@lru_cache(maxsize=256)
 def chi2_quantile(p, k):
-    """Quantile of the chi-square distribution with k degrees of freedom."""
+    """Quantile of the chi-square distribution with k degrees of freedom.
+
+    Memoized: tests and power calculations ask for the same few (p, k).
+    The search calls gamma_p, not chi2_cdf, so that chi2_cdf's call count
+    does not depend on what the cache already holds.
+    """
     if not 0.0 < p < 1.0:
         raise ValueError("probability must lie in (0, 1)")
     if k < 1:
         raise ValueError("degrees of freedom must be >= 1")
     # bracket, then bisection interleaved with Newton steps
+    a = 0.5 * k  # chi2_cdf(x, k) = gamma_p(a, x / 2)
     lo, hi = 0.0, max(4.0 * k, 8.0)
-    while chi2_cdf(hi, k) < p:
+    while gamma_p(a, 0.5 * hi) < p:
         hi *= 2.0
         if hi > 1e12:
             break
     x = 0.5 * (lo + hi)
     for _ in range(200):
-        f = chi2_cdf(x, k) - p
+        f = gamma_p(a, 0.5 * x) - p
         if f > 0.0:
             hi = x
         else:

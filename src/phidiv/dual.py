@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RankDeficiencyError
-from .families import CHI2, KLM, DivergenceFamily
+from .families import KLM, DivergenceFamily, _psi_arr
 from .models import MomentModel, WeightedSample
 
 OBJ_BOUND = 1e12        # objective beyond this: declare unbounded
@@ -55,15 +55,19 @@ class DualSolution:
 
 
 def _augmented(model, sample, theta):
+    """Design matrix A with rows (1, g(X_i, theta)); theta already checked."""
     g = model.g_values(sample.points, theta)
-    return np.hstack([np.ones((g.shape[0], 1)), g])
+    A = np.ones((g.shape[0], g.shape[1] + 1))
+    A[:, 1:] = g
+    return A
 
 
 def dual_objective(fam, model, sample, theta, t):
     """Value of the dual criterion; -inf when any psi argument leaves dom psi."""
     theta = model.check_theta(theta)
     A = _augmented(model, sample, theta)
-    return _objective(fam, A, sample.weights, np.asarray(t, dtype=float), t0_index=0)
+    t = np.asarray(t, dtype=float)
+    return _objective(fam, sample.weights, A @ t, t, t0_index=0)
 
 
 def dual_grad_hess(fam, model, sample, theta, t):
@@ -75,22 +79,23 @@ def dual_grad_hess(fam, model, sample, theta, t):
     if not fam.strictly_feasible(u, margin=0.0):
         from .errors import DomainError
         raise DomainError("t is not strictly feasible for this sample")
-    return _grad_hess(fam, A, sample.weights, t, t0_index=0)
+    return _grad_hess(fam, A, sample.weights, u, t0_index=0)
 
 
-def _objective(fam, A, w, t, t0_index):
-    u = A @ t
-    vals = np.atleast_1d(fam.psi(u))
-    if not np.all(np.isfinite(vals)):
+# The private evaluators take u = A @ t, computed once per trial point by the
+# caller and shared by the feasibility test, value, derivatives and weights.
+
+def _objective(fam, w, u, t, t0_index):
+    vals = _psi_arr(fam.gamma, u)
+    if not np.isfinite(vals).all():
         return -np.inf
     base = t[t0_index] if t0_index is not None else 0.0
     return float(base - w @ vals)
 
 
-def _grad_hess(fam, A, w, t, t0_index):
-    u = A @ t
-    s1 = w * np.atleast_1d(fam.psi_d1(u))
-    s2 = w * np.atleast_1d(fam.psi_d2(u))
+def _grad_hess(fam, A, w, u, t0_index):
+    s1 = w * fam.psi_d1(u)
+    s2 = w * fam.psi_d2(u)
     grad = -(A.T @ s1)
     if t0_index is not None:
         grad[t0_index] += 1.0
@@ -99,15 +104,21 @@ def _grad_hess(fam, A, w, t, t0_index):
 
 
 def _newton_ascent(fam, A, w, t0, *, t0_index, tol, max_iter, margin):
-    """Damped Newton with backtracking kept strictly feasible.
+    """Damped Newton with backtracking kept strictly feasible, from t0 or,
+    when the criterion is not finite there, from t = 0.
 
-    Returns (t, objective, status, iterations, grad_norm, diagnostics).
+    Returns (t, A @ t, objective, status, iterations, grad_norm, diagnostics).
     """
     t = np.array(t0, dtype=float)
-    f = _objective(fam, A, w, t, t0_index)
+    u = A @ t
+    f = _objective(fam, w, u, t, t0_index)
+    if not np.isfinite(f):  # t = 0 is feasible whenever the data are finite
+        t = np.zeros_like(t)
+        u = A @ t
+        f = _objective(fam, w, u, t, t0_index)
     diag = {"ridge_used": False, "backtracks": 0}
     if not np.isfinite(f):
-        return t, f, "max-iterations", 0, np.inf, diag
+        return t, u, f, "max-iterations", 0, np.inf, diag
     grad = np.zeros_like(t)
     gnorm = np.inf
     prev_step = None
@@ -115,29 +126,27 @@ def _newton_ascent(fam, A, w, t0, *, t0_index, tol, max_iter, margin):
     status = "max-iterations"
     it = 0
     for it in range(1, max_iter + 1):
-        grad, hess = _grad_hess(fam, A, w, t, t0_index)
-        gnorm = float(np.max(np.abs(grad)))
+        grad, hess = _grad_hess(fam, A, w, u, t0_index)
+        gnorm = float(abs(grad).max())
         if gnorm <= tol * (1.0 + abs(f)):
             # a vanishing gradient at an enormous iterate is the slow escape
             # of a log-type criterion toward its boundary, not an optimum
-            status = "unbounded" if np.max(np.abs(t)) > T_SOFT else "converged"
+            status = "unbounded" if abs(t).max() > T_SOFT else "converged"
             break
-        neg_h = -hess
-        step = _solve_psd(neg_h, grad, diag)
+        step = _solve_psd(-hess, grad, diag)
         gts = float(grad @ step)
-        if not np.all(np.isfinite(step)) or gts <= 0.0:
+        if not np.isfinite(step).all() or gts <= 0.0:
             step = grad / max(1.0, gnorm)  # steepest-ascent fallback
             gts = float(grad @ step)
         alpha = 1.0
         accepted = False
         blocked_by_domain = False
-        cand = t
-        fc = f
+        cand, ucand, fc = t, u, f
         for _ in range(60):
             cand = t + alpha * step
-            u = A @ cand
-            if fam.strictly_feasible(u, margin=margin):
-                fc = _objective(fam, A, w, cand, t0_index)
+            ucand = A @ cand
+            if fam.strictly_feasible(ucand, margin=margin):
+                fc = _objective(fam, w, ucand, cand, t0_index)
                 if np.isfinite(fc) and fc >= f + 1e-4 * alpha * gts:
                     accepted = True
                     break
@@ -147,23 +156,23 @@ def _newton_ascent(fam, A, w, t0, *, t0_index, tol, max_iter, margin):
             alpha *= 0.5
         if not accepted:
             if gnorm <= 1e-6 * (1.0 + abs(f)):
-                status = "unbounded" if np.max(np.abs(t)) > T_SOFT else "converged"
+                status = "unbounded" if abs(t).max() > T_SOFT else "converged"
             elif blocked_by_domain:
                 status = "converged-boundary"
             else:
                 status = "max-iterations"
             break
-        snorm = float(np.max(np.abs(alpha * step)))
+        snorm = float(abs(alpha * step).max())
         if prev_step is not None and snorm >= 10.0 * prev_step > 0.0:
             growth_run += 1
         else:
             growth_run = 0
         prev_step = snorm
-        t, f = cand, fc
-        if f > OBJ_BOUND or np.max(np.abs(t)) > T_BOUND or growth_run >= STEP_GROWTH_RUNS:
+        t, u, f = cand, ucand, fc
+        if f > OBJ_BOUND or abs(t).max() > T_BOUND or growth_run >= STEP_GROWTH_RUNS:
             status = "unbounded"
             break
-    return t, f, status, it, gnorm, diag
+    return t, u, f, status, it, gnorm, diag
 
 
 def _solve_psd(neg_h, grad, diag):
@@ -171,7 +180,7 @@ def _solve_psd(neg_h, grad, diag):
     for attempt in range(3):
         try:
             step = np.linalg.solve(neg_h + ridge * np.eye(neg_h.shape[0]), grad)
-            if np.all(np.isfinite(step)):
+            if np.isfinite(step).all():
                 return step
         except np.linalg.LinAlgError:
             pass
@@ -180,10 +189,11 @@ def _solve_psd(neg_h, grad, diag):
     return np.full_like(grad, np.nan)
 
 
-def chi2_closed_form(model, sample, theta):
-    """Exact dual solution for the quadratic family via one linear solve."""
-    theta = model.check_theta(theta)
-    A = _augmented(model, sample, theta)
+def chi2_closed_form(model, sample, theta, A=None):
+    """Exact dual solution for the quadratic family via one linear solve;
+    A, when given, is the design matrix at an already checked theta."""
+    if A is None:
+        A = _augmented(model, sample, model.check_theta(theta))
     w = sample.weights
     gram = (A * w[:, None]).T @ A
     rhs = -(A.T @ w)
@@ -196,11 +206,11 @@ def chi2_closed_form(model, sample, theta):
             "is degenerate on this sample")
     t = np.linalg.solve(gram, rhs)
     u = A @ t
-    obj = float(t[0] - w @ np.atleast_1d(CHI2.psi(u)))
+    obj = float(t[0] - w @ _psi_arr(2.0, u))
     weights = w * (1.0 + u)
     grad = rhs - gram @ t
     return DualSolution(t, obj, weights, "converged", 1,
-                        float(np.max(np.abs(grad))), {"closed_form": True})
+                        float(abs(grad).max()), {"closed_form": True})
 
 
 def _shrink_feasible(fam, A, t, margin):
@@ -228,18 +238,23 @@ def solve_inner(fam, model, sample, theta, init=None, tol=1e-9,
         t0 = _shrink_feasible(fam, A, np.asarray(init, dtype=float), margin)
     else:
         try:
-            ws = chi2_closed_form(model, sample, theta).t
+            ws = chi2_closed_form(model, sample, theta, A).t
             t0 = _shrink_feasible(fam, A, ws, margin)
         except RankDeficiencyError:
             t0 = np.zeros(dim)
-    if not np.isfinite(_objective(fam, A, w, t0, 0)):
-        t0 = np.zeros(dim)
-    t, f, status, iters, gnorm, diag = _newton_ascent(
+    t, u, f, status, iters, gnorm, diag = _newton_ascent(
         fam, A, w, t0, t0_index=0, tol=tol, max_iter=max_iter, margin=margin)
     weights = None
     if status in ("converged", "converged-boundary"):
-        weights = w * np.atleast_1d(fam.psi_d1(A @ t))
+        weights = w * fam.psi_d1(u)
     return DualSolution(t, f, weights, status, iters, gnorm, diag)
+
+
+def criterion_variance(fam, w, u, t0):
+    """Variance under the weights w of the criterion integrand t0 - psi(u)."""
+    m_vals = t0 - _psi_arr(fam.gamma, u)
+    mbar = float(w @ m_vals)
+    return float(w @ (m_vals ** 2) - mbar ** 2)
 
 
 def el_reduced_solve(model, sample, theta, tol=1e-9, max_iter=200):
@@ -256,7 +271,7 @@ def el_reduced_solve(model, sample, theta, tol=1e-9, max_iter=200):
     w = sample.weights
     A = -g  # f(lam) = -sum w psi_KLm(-lam . g) = sum w log(1 + lam . g)
     lam0 = np.zeros(model.l)
-    lam, f, status, iters, gnorm, diag = _newton_ascent(
+    lam, _, f, status, iters, gnorm, diag = _newton_ascent(
         KLM, A, w, lam0, t0_index=None, tol=tol, max_iter=max_iter, margin=1e-10)
     t_full = np.concatenate([[0.0], -lam])
     weights = None

@@ -15,11 +15,13 @@ parameter that remains valid under misspecification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .dual import DualSolution, _augmented, chi2_closed_form, solve_inner
+from .dual import (DualSolution, _augmented, chi2_closed_form,
+                   criterion_variance, solve_inner)
 from .errors import EstimationError, RankDeficiencyError
 from .families import DivergenceFamily
 from .models import MomentModel, WeightedSample
@@ -38,21 +40,27 @@ class EstimateOptions:
     theta0: tuple | None = None  # explicit extra start, overrides nothing else
 
 
-FAST_OPTIONS = EstimateOptions(n_starts=1, outer_tol=1e-7, outer_max_iter=60)
-
-
 @dataclass
 class EstimationResult:
+    """Fit result; the variance blocks V_hat, S_hat, M_hat and W_hat (see
+    variance_blocks) are computed on first access and then cached."""
+
     theta_hat: np.ndarray
     t_hat: np.ndarray
     divergence_hat: float
-    V_hat: np.ndarray
     sigma2_hat: float
-    W_hat: np.ndarray
-    S_hat: np.ndarray
-    M_hat: np.ndarray
     inner: DualSolution
     diagnostics: dict = field(default_factory=dict)
+    problem: tuple = field(default=None, repr=False, compare=False)  # (fam, model, sample)
+
+    @cached_property
+    def _blocks(self):
+        return variance_blocks(*self.problem, self.theta_hat, self.t_hat)
+
+    V_hat = property(lambda self: self._blocks[0])
+    S_hat = property(lambda self: self._blocks[2])
+    M_hat = property(lambda self: self._blocks[3])
+    W_hat = property(lambda self: self._blocks[4])
 
     def stderr(self, n):
         """Per-coordinate standard errors sqrt(V_ii / n)."""
@@ -90,17 +98,13 @@ def profile_gradient(fam, model, sample, theta, inner):
     """Theta-gradient of the profile with the dual vector held fixed."""
     if inner.status != "converged":
         raise EstimationError(f"inner solve did not converge (status={inner.status})")
-    return _profile_grad(fam, model, sample, theta, inner.t)
+    return _envelope_grad(model, sample, model.check_theta(theta), inner)
 
 
-def _profile_grad(fam, model, sample, theta, t):
-    theta = model.check_theta(theta)
-    A = _augmented(model, sample, theta)
+def _envelope_grad(model, sample, theta, sol):
+    # sol.weights are w * psi'(A t), so only the Jacobian is evaluated here
     jac = model.jac_values(sample.points, theta)
-    u = A @ t
-    s1 = sample.weights * np.atleast_1d(fam.psi_d1(u))
-    jt = np.einsum("ild,l->id", jac, t[1:])
-    return -(s1 @ jt)
+    return -(sol.weights @ np.einsum("ild,l->id", jac, sol.t[1:]))
 
 
 def _latin_hypercube(rng, n, lo, hi):
@@ -149,14 +153,14 @@ def _outer_minimize(fam, model, sample, theta0, options):
                                  options.inner_tol, options.inner_max_iter)
     if not np.isfinite(val) or sol.status != "converged":
         return None, {"start": theta.tolist(), "reason": f"infeasible start ({sol.status})"}
-    grad = _profile_grad(fam, model, sample, theta, sol.t)
+    grad = _envelope_grad(model, sample, theta, sol)
     hinv = np.eye(d)
     iters = 0
     for iters in range(1, options.outer_max_iter + 1):
         pg = grad.copy()
         pg[(theta <= lo) & (grad > 0)] = 0.0
         pg[(theta >= hi) & (grad < 0)] = 0.0
-        if np.max(np.abs(pg)) <= options.outer_tol * (1.0 + abs(val)):
+        if abs(pg).max() <= options.outer_tol * (1.0 + abs(val)):
             break
         p = -(hinv @ grad)
         if p @ grad >= 0.0:
@@ -166,7 +170,7 @@ def _outer_minimize(fam, model, sample, theta0, options):
         for _ in range(40):
             cand = np.clip(theta + alpha * p, lo, hi)
             s = cand - theta
-            if np.max(np.abs(s)) < 1e-14 * (1.0 + np.max(np.abs(theta))):
+            if abs(s).max() < 1e-14 * (1.0 + abs(theta).max()):
                 break
             cval, csol = profile_objective(fam, model, sample, cand, sol.t,
                                            options.inner_tol, options.inner_max_iter)
@@ -177,7 +181,7 @@ def _outer_minimize(fam, model, sample, theta0, options):
             alpha *= 0.5
         if not accepted:
             break
-        grad_new = _profile_grad(fam, model, sample, cand, csol.t)
+        grad_new = _envelope_grad(model, sample, cand, csol)
         s = cand - theta
         y = grad_new - grad
         sy = float(s @ y)
@@ -207,8 +211,8 @@ def variance_blocks(fam, model, sample, theta, t):
     jac = model.jac_values(sample.points, theta)
     A = np.hstack([np.ones((g.shape[0], 1)), g])
     u = A @ t
-    s1 = np.atleast_1d(fam.psi_d1(u))
-    s2 = np.atleast_1d(fam.psi_d2(u))
+    s1 = fam.psi_d1(u)
+    s2 = fam.psi_d2(u)
 
     ghat = np.einsum("i,ild->ld", w, jac)
     omega = (g * w[:, None]).T @ g
@@ -217,9 +221,7 @@ def variance_blocks(fam, model, sample, theta, t):
     except np.linalg.LinAlgError:
         raise RankDeficiencyError("singular moment covariance matrix")
 
-    m_vals = t[0] - np.atleast_1d(fam.psi(u))
-    mbar = float(w @ m_vals)
-    sigma2 = float(w @ (m_vals ** 2) - mbar ** 2)
+    sigma2 = criterion_variance(fam, w, u, t[0])
 
     jt = np.einsum("ild,l->id", jac, t[1:])
     dm_dt = -(A * s1[:, None])
@@ -283,11 +285,12 @@ def estimate(fam, model, sample, options=None):
     if best is None:
         raise EstimationError("all starts failed", per_start)
     theta, val, sol, iters = best
-    v, sigma2, s_mat, m_mat, w_mat = variance_blocks(fam, model, sample, theta, sol.t)
+    u = _augmented(model, sample, theta) @ sol.t
+    sigma2 = criterion_variance(fam, sample.weights, u, sol.t[0])
     diagnostics = {"outer_iterations": iters, "starts": per_start,
                    "inner_status": sol.status}
-    return EstimationResult(theta, sol.t, val, v, sigma2, w_mat, s_mat, m_mat,
-                            sol, diagnostics)
+    return EstimationResult(theta, sol.t, val, sigma2, sol, diagnostics,
+                            (fam, model, sample))
 
 
 def population_estimate(fam, model, p0, options=None):

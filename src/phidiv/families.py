@@ -107,7 +107,7 @@ class DivergenceFamily:
         u = np.asarray(u, dtype=float)
         lo = self.a_star + margin if math.isfinite(self.a_star) else -INF
         hi = self.b_star - margin if math.isfinite(self.b_star) else INF
-        return bool(np.all(u > lo) and np.all(u < hi))
+        return bool(u.min() > lo and u.max() < hi)
 
 
 def _as_like(x, arr):

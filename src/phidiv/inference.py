@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import chi2_cdf, chi2_quantile, normal_cdf, normal_quantile
-from .dual import solve_inner
-from .errors import NotApplicableError
+from .dual import _augmented, criterion_variance, solve_inner
+from .errors import EstimationError, NotApplicableError
 from .estimate import EstimateOptions, estimate
 
 INF = float("inf")
@@ -61,6 +61,8 @@ class TestReport:
 
 
 def _report(kind, stat, df, alpha, sigma2=None, flag=None):
+    if math.isnan(stat):
+        raise EstimationError(f"{kind}: the statistic is NaN")
     crit = chi2_quantile(1.0 - alpha, df)
     if math.isfinite(stat):
         p = 1.0 - chi2_cdf(max(stat, 0.0), df)
@@ -91,11 +93,8 @@ def test_theta_simple(fam, model, sample, theta, alpha=0.05):
     n = sample.n
     stat = 2.0 * n * sol.objective
     # variance of the criterion integrand, for power work
-    from .dual import _augmented
-    u = _augmented(model, sample, theta) @ sol.t
-    m_vals = sol.t[0] - np.atleast_1d(fam.psi(u))
-    mbar = float(sample.weights @ m_vals)
-    sigma2 = float(sample.weights @ (m_vals ** 2) - mbar ** 2)
+    u = _augmented(model, sample, model.check_theta(theta)) @ sol.t
+    sigma2 = criterion_variance(fam, sample.weights, u, sol.t[0])
     return _report("simple-theta-test", stat, model.l, alpha, sigma2)
 
 

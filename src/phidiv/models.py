@@ -44,7 +44,8 @@ class MomentModel:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         if theta.shape != (self.d,):
             raise ParameterSpaceError(f"theta must have dimension {self.d}")
-        if np.any(theta < self.theta_lo) or np.any(theta > self.theta_hi):
+        # written so that a NaN coordinate fails too
+        if not ((theta >= self.theta_lo).all() and (theta <= self.theta_hi).all()):
             raise ParameterSpaceError(f"theta={theta} outside the parameter box")
         return theta
 
@@ -82,6 +83,8 @@ class WeightedSample:
             raise DataError("empty sample")
         if w.shape != (pts.shape[0],):
             raise DataError("weights must be one per observation")
+        if not (np.isfinite(pts).all() and np.isfinite(w).all()):
+            raise DataError("sample points and weights must be finite")
         if np.any(w < 0.0):
             raise DataError("weights must be nonnegative")
         if abs(w.sum() - 1.0) > 1e-8:
@@ -167,15 +170,15 @@ def load_csv(path, header=False):
     """Read a sample from CSV: one row per observation, m numeric columns.
 
     Raises :class:`DataError` naming the offending row and column on any
-    non-numeric cell or ragged row.
+    non-numeric or non-finite cell or ragged row.
     """
     rows = []
+    skipped = []  # file rows holding no data, to name data rows in errors
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         for i, row in enumerate(reader):
-            if header and i == 0:
-                continue
-            if not row or all(c.strip() == "" for c in row):
+            if (header and i == 0) or not row or all(c.strip() == "" for c in row):
+                skipped.append(i)
                 continue
             vals = []
             for j, cell in enumerate(row):
@@ -188,7 +191,23 @@ def load_csv(path, header=False):
     if not rows:
         raise DataError(f"{path}: no data rows")
     width = len(rows[0])
-    for i, r in enumerate(rows):
+    for k, r in enumerate(rows):
         if len(r) != width:
-            raise DataError(f"{path}: row {i + 1} has {len(r)} columns, expected {width}")
-    return WeightedSample.from_points(np.asarray(rows, dtype=float))
+            raise DataError(f"{path}: row {_file_row(skipped, k)} has {len(r)} "
+                            f"columns, expected {width}")
+    pts = np.asarray(rows, dtype=float)
+    finite = np.isfinite(pts)
+    if not finite.all():
+        k, j = np.argwhere(~finite)[0]
+        raise DataError(f"{path}: non-finite value {float(pts[k, j])!r} at "
+                        f"row {_file_row(skipped, k)}, column {j + 1}")
+    return WeightedSample.from_points(pts)
+
+
+def _file_row(skipped, k):
+    """1-based file row of data row k, given the skipped rows in order."""
+    i = k
+    for s in skipped:
+        if s <= i:
+            i += 1
+    return i + 1

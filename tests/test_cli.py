@@ -49,6 +49,34 @@ def test_bad_cell_is_io_error_naming_position(capsys, tmp_path):
     assert "row 2, column 1" in payload["error"]
 
 
+def test_nonfinite_cell_is_io_error_naming_position(capsys, tmp_path):
+    p = tmp_path / "nan.csv"
+    p.write_text("0.1\n0.2\nnan\n0.3\n" * 20)
+    code, payload = run(capsys, "test", "model", "--data", str(p))
+    assert code == 2
+    assert payload["kind"] == "io"
+    assert "row 3, column 1" in payload["error"]
+
+
+@pytest.mark.parametrize("theta", ["1/0", "nan", "inf", "1/x"])
+def test_bad_theta_is_usage_error(capsys, data_csv, theta):
+    with pytest.raises(SystemExit) as exc:
+        main(["test", "theta", "--data", str(data_csv), "--theta", theta])
+    assert exc.value.code == 1
+
+
+def test_bad_config_file_is_typed_error(capsys, data_csv, tmp_path):
+    cfg = tmp_path / "phidiv.cfg"
+    cfg.write_text("alpha = abc\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "test", "model", "--data", str(data_csv)])
+    assert exc.value.code == 1
+    cfg.write_text("alpha\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "test", "model", "--data", str(data_csv)])
+    assert exc.value.code == 2
+
+
 def test_model_test_l_equals_d_is_numeric_error(capsys, data_csv):
     code, payload = run(capsys, "test", "model", "--data", str(data_csv),
                         "--model", "mean")

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from phidiv import (CHI2, KLM, EstimateOptions, NotApplicableError,
-                    WeightedSample, chi2_quantile, confidence_region,
-                    el_reduced_solve, estimate, get_model, power_approx,
-                    sample_size, sample_size_real)
+from phidiv import (CHI2, KLM, EstimateOptions, EstimationError,
+                    NotApplicableError, WeightedSample, chi2_quantile,
+                    confidence_region, el_reduced_solve, estimate, get_model,
+                    power_approx, sample_size, sample_size_real)
 from phidiv import test_model as model_test
 from phidiv import test_theta_composite as composite_test
 from phidiv import test_theta_simple as simple_test
@@ -170,6 +170,15 @@ def test_sample_size_monotone_in_beta():
         prev = n
     with pytest.raises(ValueError):
         sample_size(0.8, 0.05, 1, 0.0, 1.0)
+
+
+def test_nan_statistic_is_estimation_error():
+    # a NaN statistic must not come out as "accept" with p = 0
+    from phidiv.inference import _report
+    with pytest.raises(EstimationError, match="NaN"):
+        _report("model-test", float("nan"), 1, 0.05)
+    rep = _report("simple-theta-test", float("inf"), 1, 0.05)
+    assert (rep.decision, rep.p_value) == ("reject", 0.0)
 
 
 def test_report_serialization(rng):

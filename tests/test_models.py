@@ -24,6 +24,8 @@ def test_gbar_rejects_theta_outside_box():
         gbar(mean, 1.0, [11.0])
     with pytest.raises(ParameterSpaceError):
         gbar(mean, 1.0, [0.0, 0.0])
+    with pytest.raises(ParameterSpaceError):
+        gbar(mean, 1.0, [np.nan])
 
 
 def test_moment_mean():
@@ -69,6 +71,12 @@ def test_weighted_sample_validation():
         WeightedSample(np.array([1.0, 2.0]), np.array([1.5, -0.5]))
     with pytest.raises(DataError):
         WeightedSample(np.empty((0, 1)), np.empty(0))
+    with pytest.raises(DataError, match="finite"):
+        WeightedSample.from_points(np.array([1.0, np.nan, 3.0]))
+    with pytest.raises(DataError, match="finite"):
+        WeightedSample.from_points(np.array([[1.0, 2.0], [3.0, -np.inf]]))
+    with pytest.raises(DataError, match="finite"):
+        WeightedSample(np.array([1.0, 2.0, 3.0]), np.array([0.5, np.nan, 0.5]))
     s = WeightedSample.from_points(np.array([1.0, 2.0, 3.0]))
     assert s.n == 3
     assert s.points.shape == (3, 1)
@@ -101,6 +109,14 @@ def test_load_csv(tmp_path):
     ragged.write_text("1,2\n3\n")
     with pytest.raises(DataError, match="row 2"):
         load_csv(ragged)
+    ragged.write_text("a,b\n1,2\n\n3\n")
+    with pytest.raises(DataError, match="row 4 has 1 columns"):
+        load_csv(ragged, header=True)
+    for cell in ("nan", "inf", "-Infinity", "1e999"):
+        nonfinite = tmp_path / "nf.csv"
+        nonfinite.write_text(f"x,y\n1,2\n\n3,{cell}\n")
+        with pytest.raises(DataError, match="non-finite .* row 4, column 2"):
+            load_csv(nonfinite, header=True)
     with pytest.raises(DataError, match="no data"):
         empty = tmp_path / "e.csv"
         empty.write_text("")
