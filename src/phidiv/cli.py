@@ -92,8 +92,7 @@ def _load_inputs(args):
 
 
 def _options(args):
-    return EstimateOptions(n_starts=getattr(args, "starts", 5),
-                           seed=getattr(args, "seed", 0))
+    return EstimateOptions(n_starts=args.starts, seed=args.seed)
 
 
 def cmd_estimate(args):
@@ -239,17 +238,20 @@ def build_parser():
     p.add_argument("--n-list", default=None, help="comma separated sizes")
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(func=cmd_simulate)
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config_file(parser, argv):
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    try:
-        path = argv[idx + 1]
-    except IndexError:
-        parser.error("--config needs a path")
+_BOOLEANS = {"true": True, "yes": True, "1": True,
+             "false": False, "no": False, "0": False}
+
+
+def _apply_config_file(parser, subparser, args):
+    """Make the config file's values the subcommand's defaults.
+
+    Keys the subcommand lacks are ignored.  Other values stay strings, which
+    argparse types on the next parse; store-true flags take true or false.
+    """
+    path = args.config
     defaults = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -261,31 +263,27 @@ def _apply_config_file(parser, argv):
                     print(f"phidiv: {path}: malformed line {line!r}", file=sys.stderr)
                     raise SystemExit(EXIT_IO)
                 k, v = (s.strip() for s in line.split("=", 1))
-                defaults[k.replace("-", "_")] = v
+                k = k.replace("-", "_")
+                if k in ("command", "config", "func") or not hasattr(args, k):
+                    continue
+                if isinstance(getattr(args, k), bool):
+                    if v.lower() not in _BOOLEANS:
+                        parser.error(f"{path}: {k} takes true or false, not {v!r}")
+                    v = _BOOLEANS[v.lower()]
+                defaults[k] = v
     except OSError as exc:
         print(f"phidiv: cannot read config: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_IO)
-    for action in parser._subparsers._group_actions[0].choices.values():
-        known = {a.dest for a in action._actions}
-        typed = {}
-        for k, v in defaults.items():
-            if k not in known:
-                continue
-            for a in action._actions:
-                if a.dest == k:
-                    try:
-                        typed[k] = a.type(v) if a.type else v
-                    except ValueError:
-                        parser.error(f"{path}: invalid value {v!r} for {k}")
-        action.set_defaults(**typed)
-    return argv
+    subparser.set_defaults(**defaults)
 
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    argv = _apply_config_file(parser, argv)
+    parser, subparsers = build_parser()
     args = parser.parse_args(argv)
+    if args.config is not None:
+        _apply_config_file(parser, subparsers[args.command], args)
+        args = parser.parse_args(argv)
     if args.command == "test" and args.kind in ("theta", "ratio") \
             and args.theta is None:
         parser.error("test theta/ratio requires --theta")

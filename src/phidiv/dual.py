@@ -16,11 +16,13 @@ form used both on its own and as a warm start for every other family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .errors import RankDeficiencyError
-from .families import KLM, DivergenceFamily, _psi_arr
+from .families import CHI2, KLM, DivergenceFamily, _psi_arr
 from .models import MomentModel, WeightedSample
 
 OBJ_BOUND = 1e12        # objective beyond this: declare unbounded
@@ -32,16 +34,23 @@ STEP_GROWTH_RUNS = 5    # consecutive 10x step growths before unbounded
 @dataclass
 class DualSolution:
     t: np.ndarray
+    u: np.ndarray = field(repr=False)  # A @ t: the psi arguments at t
     objective: float
-    weights: np.ndarray | None
     status: str            # converged | converged-boundary | unbounded | max-iterations
     iterations: int
     grad_norm: float
     diagnostics: dict = field(default_factory=dict)
+    weights_of: Callable | None = field(default=None, repr=False)  # u -> weights
 
     @property
     def converged(self):
         return self.status == "converged"
+
+    @property
+    def weights(self):
+        """Projection weights Q_i, None unless the solve reached an optimum;
+        computed from u on each access, so a kept solution holds one n-vector."""
+        return None if self.weights_of is None else self.weights_of(self.u)
 
     def to_dict(self):
         return {
@@ -54,32 +63,17 @@ class DualSolution:
         }
 
 
+def _projection_weights(fam, w, u):
+    """Q_i = w_i psi'(u_i), the weights of the projected measure."""
+    return w * fam.psi_d1(u)
+
+
 def _augmented(model, sample, theta):
     """Design matrix A with rows (1, g(X_i, theta)); theta already checked."""
     g = model.g_values(sample.points, theta)
     A = np.ones((g.shape[0], g.shape[1] + 1))
     A[:, 1:] = g
     return A
-
-
-def dual_objective(fam, model, sample, theta, t):
-    """Value of the dual criterion; -inf when any psi argument leaves dom psi."""
-    theta = model.check_theta(theta)
-    A = _augmented(model, sample, theta)
-    t = np.asarray(t, dtype=float)
-    return _objective(fam, sample.weights, A @ t, t, t0_index=0)
-
-
-def dual_grad_hess(fam, model, sample, theta, t):
-    """Gradient and Hessian of the dual criterion at a strictly feasible t."""
-    theta = model.check_theta(theta)
-    A = _augmented(model, sample, theta)
-    t = np.asarray(t, dtype=float)
-    u = A @ t
-    if not fam.strictly_feasible(u, margin=0.0):
-        from .errors import DomainError
-        raise DomainError("t is not strictly feasible for this sample")
-    return _grad_hess(fam, A, sample.weights, u, t0_index=0)
 
 
 # The private evaluators take u = A @ t, computed once per trial point by the
@@ -207,10 +201,9 @@ def chi2_closed_form(model, sample, theta, A=None):
     t = np.linalg.solve(gram, rhs)
     u = A @ t
     obj = float(t[0] - w @ _psi_arr(2.0, u))
-    weights = w * (1.0 + u)
     grad = rhs - gram @ t
-    return DualSolution(t, obj, weights, "converged", 1,
-                        float(abs(grad).max()), {"closed_form": True})
+    return DualSolution(t, u, obj, "converged", 1, float(abs(grad).max()),
+                        {"closed_form": True}, partial(_projection_weights, CHI2, w))
 
 
 def _shrink_feasible(fam, A, t, margin):
@@ -244,10 +237,10 @@ def solve_inner(fam, model, sample, theta, init=None, tol=1e-9,
             t0 = np.zeros(dim)
     t, u, f, status, iters, gnorm, diag = _newton_ascent(
         fam, A, w, t0, t0_index=0, tol=tol, max_iter=max_iter, margin=margin)
-    weights = None
+    weights_of = None
     if status in ("converged", "converged-boundary"):
-        weights = w * fam.psi_d1(u)
-    return DualSolution(t, f, weights, status, iters, gnorm, diag)
+        weights_of = partial(_projection_weights, fam, w)
+    return DualSolution(t, u, f, status, iters, gnorm, diag, weights_of)
 
 
 def criterion_variance(fam, w, u, t0):
@@ -274,9 +267,11 @@ def el_reduced_solve(model, sample, theta, tol=1e-9, max_iter=200):
     lam, _, f, status, iters, gnorm, diag = _newton_ascent(
         KLM, A, w, lam0, t0_index=None, tol=tol, max_iter=max_iter, margin=1e-10)
     t_full = np.concatenate([[0.0], -lam])
-    weights = None
+    weights_of = None
     if status in ("converged", "converged-boundary"):
-        weights = w / (1.0 + g @ lam)
+        weights = w / (1.0 + g @ lam)  # the reduced formula, not w psi'(u)
+        weights_of = lambda u: weights
     diag = dict(diag)
     diag["reduced_t"] = lam
-    return DualSolution(t_full, f, weights, status, iters, gnorm, diag)
+    u = _augmented(model, sample, theta) @ t_full
+    return DualSolution(t_full, u, f, status, iters, gnorm, diag, weights_of)

@@ -84,12 +84,13 @@ def profile_objective(fam, model, sample, theta, init_t=None,
                       inner_tol=1e-9, inner_max_iter=200):
     """Inner dual maximum at theta, with the inner solution.
 
-    An unbounded or stalled inner solve yields +inf; the solution object
-    carries the status, so the outer search can steer away without aborting.
+    An inner solve that did not converge (stopped at the domain boundary,
+    unbounded or stalled) yields +inf; the solution object carries the
+    status, so the outer search can steer away without aborting.
     """
     sol = solve_inner(fam, model, sample, theta, init=init_t,
                       tol=inner_tol, max_iter=inner_max_iter)
-    if sol.status in ("converged", "converged-boundary"):
+    if sol.converged:
         return sol.objective, sol
     return INF, sol
 
@@ -98,13 +99,14 @@ def profile_gradient(fam, model, sample, theta, inner):
     """Theta-gradient of the profile with the dual vector held fixed."""
     if inner.status != "converged":
         raise EstimationError(f"inner solve did not converge (status={inner.status})")
-    return _envelope_grad(model, sample, model.check_theta(theta), inner)
+    return _envelope_grad(model, sample, model.check_theta(theta),
+                          inner.weights, inner.t)
 
 
-def _envelope_grad(model, sample, theta, sol):
-    # sol.weights are w * psi'(A t), so only the Jacobian is evaluated here
+def _envelope_grad(model, sample, theta, weights, t):
+    # weights are w * psi'(A t), so only the Jacobian is evaluated here
     jac = model.jac_values(sample.points, theta)
-    return -(sol.weights @ np.einsum("ild,l->id", jac, sol.t[1:]))
+    return -(weights @ np.einsum("ild,l->id", jac, t[1:]))
 
 
 def _latin_hypercube(rng, n, lo, hi):
@@ -151,9 +153,9 @@ def _outer_minimize(fam, model, sample, theta0, options):
     theta = model.clip_theta(theta0)
     val, sol = profile_objective(fam, model, sample, theta, None,
                                  options.inner_tol, options.inner_max_iter)
-    if not np.isfinite(val) or sol.status != "converged":
+    if not np.isfinite(val):
         return None, {"start": theta.tolist(), "reason": f"infeasible start ({sol.status})"}
-    grad = _envelope_grad(model, sample, theta, sol)
+    grad = _envelope_grad(model, sample, theta, sol.weights, sol.t)
     hinv = np.eye(d)
     iters = 0
     for iters in range(1, options.outer_max_iter + 1):
@@ -174,14 +176,13 @@ def _outer_minimize(fam, model, sample, theta0, options):
                 break
             cval, csol = profile_objective(fam, model, sample, cand, sol.t,
                                            options.inner_tol, options.inner_max_iter)
-            if np.isfinite(cval) and csol.status == "converged" \
-                    and cval <= val + 1e-4 * float(grad @ s):
+            if cval <= val + 1e-4 * float(grad @ s):
                 accepted = True
                 break
             alpha *= 0.5
         if not accepted:
             break
-        grad_new = _envelope_grad(model, sample, cand, csol)
+        grad_new = _envelope_grad(model, sample, cand, csol.weights, csol.t)
         s = cand - theta
         y = grad_new - grad
         sy = float(s @ y)
@@ -207,9 +208,9 @@ def variance_blocks(fam, model, sample, theta, t):
     """
     theta = model.check_theta(theta)
     w = sample.weights
-    g = model.g_values(sample.points, theta)
+    A = _augmented(model, sample, theta)
+    g = A[:, 1:]
     jac = model.jac_values(sample.points, theta)
-    A = np.hstack([np.ones((g.shape[0], 1)), g])
     u = A @ t
     s1 = fam.psi_d1(u)
     s2 = fam.psi_d2(u)
@@ -232,15 +233,17 @@ def variance_blocks(fam, model, sample, theta, t):
     s12 = -((A * (w * s2)[:, None]).T @ jt)
     s12[1:, :] -= np.einsum("i,ild->ld", w * s1, jac)
 
+    def grad_at(th):  # envelope gradient at th with t fixed, no box check
+        u_th = t[0] + model.g_values(sample.points, th) @ t[1:]
+        return _envelope_grad(model, sample, th, w * fam.psi_d1(u_th), t)
+
     d = model.d
     s22 = np.empty((d, d))
     h = 1e-5 * (1.0 + np.abs(theta))
     for k in range(d):
         tp = theta.copy(); tp[k] += h[k]
         tm = theta.copy(); tm[k] -= h[k]
-        gp = _theta_grad_raw(fam, model, sample, tp, t)
-        gm = _theta_grad_raw(fam, model, sample, tm, t)
-        s22[:, k] = (gp - gm) / (2.0 * h[k])
+        s22[:, k] = (grad_at(tp) - grad_at(tm)) / (2.0 * h[k])
     s22 = 0.5 * (s22 + s22.T)
 
     s_mat = np.block([[s11, s12], [s12.T, s22]])
@@ -255,16 +258,6 @@ def variance_blocks(fam, model, sample, theta, t):
     return v, sigma2, s_mat, m_mat, w_mat
 
 
-def _theta_grad_raw(fam, model, sample, theta, t):
-    """Theta-gradient of the criterion with t fixed, without box checks."""
-    g = model.g_values(sample.points, theta)
-    jac = model.jac_values(sample.points, theta)
-    u = t[0] + g @ t[1:]
-    s1 = sample.weights * np.atleast_1d(fam.psi_d1(u))
-    jt = np.einsum("ild,l->id", jac, t[1:])
-    return -(s1 @ jt)
-
-
 def estimate(fam, model, sample, options=None):
     """Full minimum-divergence estimation: parameter, divergence, variances."""
     options = options or EstimateOptions()
@@ -277,27 +270,14 @@ def estimate(fam, model, sample, options=None):
         outcome, diag = _outer_minimize(fam, model, sample, start, options)
         diag["index"] = idx
         per_start.append(diag)
-        if outcome is None:
-            continue
-        theta, val, sol, iters = outcome
-        if best is None or val < best[1] - 0.0:
-            best = (theta, val, sol, iters)
+        if outcome is not None and (best is None or outcome[1] < best[1]):
+            best = outcome
     if best is None:
         raise EstimationError("all starts failed", per_start)
     theta, val, sol, iters = best
-    u = _augmented(model, sample, theta) @ sol.t
-    sigma2 = criterion_variance(fam, sample.weights, u, sol.t[0])
+    sigma2 = criterion_variance(fam, sample.weights, sol.u, sol.t[0])
     diagnostics = {"outer_iterations": iters, "starts": per_start,
                    "inner_status": sol.status}
     return EstimationResult(theta, sol.t, val, sigma2, sol, diagnostics,
                             (fam, model, sample))
 
-
-def population_estimate(fam, model, p0, options=None):
-    """Pseudo-true quantities from a finite-support reference distribution.
-
-    Runs the same algorithm on the weighted atoms of p0; the result is read
-    as (theta*, t*(theta*), population divergence, sigma^2(theta*)) for
-    power approximation under misspecification.
-    """
-    return estimate(fam, model, p0, options=options)

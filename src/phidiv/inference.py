@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import chi2_cdf, chi2_quantile, normal_cdf, normal_quantile
-from .dual import _augmented, criterion_variance, solve_inner
+from .dual import criterion_variance, solve_inner
 from .errors import EstimationError, NotApplicableError
 from .estimate import EstimateOptions, estimate
 
@@ -93,8 +93,7 @@ def test_theta_simple(fam, model, sample, theta, alpha=0.05):
     n = sample.n
     stat = 2.0 * n * sol.objective
     # variance of the criterion integrand, for power work
-    u = _augmented(model, sample, model.check_theta(theta)) @ sol.t
-    sigma2 = criterion_variance(fam, sample.weights, u, sol.t[0])
+    sigma2 = criterion_variance(fam, sample.weights, sol.u, sol.t[0])
     return _report("simple-theta-test", stat, model.l, alpha, sigma2)
 
 

@@ -103,28 +103,6 @@ class WeightedSample:
         return cls(pts, np.full(n, 1.0 / n))
 
 
-def gbar(model, x, theta):
-    """Augmented moment vector (1, g(x, theta)).
-
-    Accepts one point (scalar or length-m vector, returning shape (1+l,)) or
-    a batch of points (returning (n, 1+l)).
-    """
-    theta = model.check_theta(theta)
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 0 or (arr.ndim == 1 and arr.shape[0] == model.m)
-    pts = arr.reshape(1, model.m) if single else arr.reshape(-1, model.m)
-    g = model.g_values(pts, theta)
-    out = np.hstack([np.ones((g.shape[0], 1)), g])
-    return out[0] if single else out
-
-
-def moment_mean(model, sample, theta):
-    """Weighted average of g over the sample; (l,)."""
-    theta = model.check_theta(theta)
-    g = model.g_values(sample.points, theta)
-    return sample.weights @ g
-
-
 def builtin_model(name, m=1, theta_lo=None, theta_hi=None):
     """Built-in models: 'mean' (x - theta, exactly identified) and
     'mean-variance' ((x, x^2 - theta), over-identified with l=2, d=1)."""

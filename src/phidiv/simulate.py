@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .errors import EstimationError, PhidivError
-from .estimate import EstimateOptions, population_estimate
+from .estimate import EstimateOptions, estimate
 from .families import family as resolve_family
 from .inference import power_approx, test_model
 from .models import WeightedSample, get_model
@@ -113,17 +114,12 @@ def _run_cell(plan, cell):
     }
 
 
-def _cell_worker(args):
-    plan, cell = args
-    return _run_cell(plan, cell)
-
-
 def mc_power(plan, threads=1):
     """Empirical rejection rate for every (epsilon, n) cell of the plan."""
     cells = range(len(plan.cells()))
     if threads and threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_cell_worker, [(plan, c) for c in cells]))
+            rows = list(pool.map(_run_cell, repeat(plan), cells))
     else:
         rows = [_run_cell(plan, c) for c in cells]
     return rows
@@ -154,7 +150,7 @@ def approx_power_curve(plan, atoms=10_000):
             raise ValueError("analytic power curve supports uniform alternatives")
         p0 = discretize_uniform(dist[1], dist[2], atoms)
         try:
-            est = population_estimate(fam, model, p0, options=MC_OPTIONS)
+            est = estimate(fam, model, p0, options=MC_OPTIONS)
             div = max(est.divergence_hat, 0.0)
             sigma = math.sqrt(max(est.sigma2_hat, 0.0))
         except PhidivError:

@@ -157,6 +157,27 @@ def test_config_file_defaults(capsys, data_csv, tmp_path):
                         "--data", str(data_csv), "--family", "KL")
     assert code == 0
     assert payload["config"]["family"] == "KL"
+    # the --config=path spelling is applied too
+    code, payload = run(capsys, f"--config={cfg}", "test", "model",
+                        "--data", str(data_csv))
+    assert code == 0
+    assert payload["config"]["family"] == "chi2"
+
+
+def test_config_file_booleans(capsys, data_csv, tmp_path):
+    cfg = tmp_path / "phidiv.cfg"
+    cfg.write_text("header = false\n")
+    code, from_file = run(capsys, "--config", str(cfg), "estimate",
+                          "--data", str(data_csv), "--family", "chi2")
+    assert code == 0
+    assert from_file["config"]["header"] is False
+    # the first row of the headerless file is kept as data
+    code, plain = run(capsys, "estimate", "--data", str(data_csv), "--family", "chi2")
+    assert from_file["result"] == plain["result"]
+    cfg.write_text("header = maybe\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "estimate", "--data", str(data_csv)])
+    assert exc.value.code == 1
 
 
 def test_version(capsys):

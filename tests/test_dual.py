@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from phidiv import (CHI2, HELLINGER, KL, KLM, DomainError, RankDeficiencyError,
+from phidiv import (CHI2, CHI2M, HELLINGER, KL, KLM, RankDeficiencyError,
                     WeightedSample, chi2_closed_form, el_reduced_solve,
                     get_model, solve_inner)
-from phidiv.dual import dual_grad_hess, dual_objective
+from phidiv.dual import _augmented, _grad_hess, _objective
 
 from conftest import primal_grid, primal_quadratic, random_feasible_instance
 
@@ -15,16 +15,26 @@ S02 = WeightedSample.from_points(np.array([0.0, 2.0]))
 S012 = WeightedSample.from_points(np.array([0.0, 1.0, 2.0]))
 
 
+def objective_at(fam, model, sample, theta, t):
+    A = _augmented(model, sample, np.atleast_1d(theta))
+    return _objective(fam, sample.weights, A @ t, t, t0_index=0)
+
+
+def grad_hess_at(fam, model, sample, theta, t):
+    A = _augmented(model, sample, np.atleast_1d(theta))
+    return _grad_hess(fam, A, sample.weights, A @ t, t0_index=0)
+
+
 def test_dual_objective_values():
     for fam in (KLM, KL, CHI2, HELLINGER):
-        assert dual_objective(fam, MEAN, S01, [1.0], np.zeros(2)) == 0.0
-    assert dual_objective(CHI2, MEAN, S01, [1.0], np.array([1.0, 2.0])) \
+        assert objective_at(fam, MEAN, S01, [1.0], np.zeros(2)) == 0.0
+    assert objective_at(CHI2, MEAN, S01, [1.0], np.array([1.0, 2.0])) \
         == pytest.approx(0.5, abs=1e-12)
-    assert dual_objective(KLM, MEAN, S01, [1.0], np.array([2.0, 0.0])) == -np.inf
+    assert objective_at(KLM, MEAN, S01, [1.0], np.array([2.0, 0.0])) == -np.inf
 
 
 def test_dual_grad_hess_at_zero():
-    grad, hess = dual_grad_hess(KL, MV, S012, [0.5], np.zeros(3))
+    grad, hess = grad_hess_at(KL, MV, S012, [0.5], np.zeros(3))
     g = MV.g_values(S012.points, np.array([0.5]))
     A = np.hstack([np.ones((3, 1)), g])
     assert np.allclose(grad, -S012.weights @ A + np.eye(3)[0])
@@ -33,22 +43,31 @@ def test_dual_grad_hess_at_zero():
     assert np.all(evals <= 1e-8)
 
 
-def test_dual_grad_infeasible_raises():
-    with pytest.raises(DomainError):
-        dual_grad_hess(KLM, MEAN, S01, [1.0], np.array([2.0, 0.0]))
-
-
 def test_grad_matches_finite_differences(rng):
     theta = np.array([0.5])
     t = np.array([0.1, -0.2, 0.05])
-    grad, hess = dual_grad_hess(HELLINGER, MV, S012, theta, t)
+    grad, hess = grad_hess_at(HELLINGER, MV, S012, theta, t)
     h = 1e-6
     for k in range(3):
         tp = t.copy(); tp[k] += h
         tm = t.copy(); tm[k] -= h
-        fd = (dual_objective(HELLINGER, MV, S012, theta, tp)
-              - dual_objective(HELLINGER, MV, S012, theta, tm)) / (2.0 * h)
+        fd = (objective_at(HELLINGER, MV, S012, theta, tp)
+              - objective_at(HELLINGER, MV, S012, theta, tm)) / (2.0 * h)
         assert grad[k] == pytest.approx(fd, abs=1e-6)
+
+
+@pytest.mark.parametrize("fam", [KLM, KL, CHI2, CHI2M, HELLINGER],
+                         ids=lambda f: f.name)
+def test_solution_u_is_design_matrix_times_t(fam, rng):
+    x = rng.uniform(-1.0, 1.2, size=40)
+    sample = WeightedSample.from_points(x)
+    theta = np.array([0.4])
+    A = _augmented(MV, sample, theta)
+    cold = solve_inner(fam, MV, sample, theta)
+    warm = solve_inner(fam, MV, sample, theta, init=0.5 * cold.t)
+    closed = chi2_closed_form(MV, sample, theta)
+    for sol in (cold, warm, closed):
+        assert (A @ sol.t).tobytes() == sol.u.tobytes()
 
 
 def test_chi2_closed_form_worked_example():
@@ -189,5 +208,5 @@ def test_hessian_negative_semidefinite_along_path(rng):
     sol = solve_inner(KL, model, sample, theta)
     assert sol.converged
     for frac in np.linspace(0.0, 1.0, 11):
-        _, hess = dual_grad_hess(KL, model, sample, theta, frac * sol.t)
+        _, hess = grad_hess_at(KL, model, sample, theta, frac * sol.t)
         assert np.max(np.linalg.eigvalsh(hess)) <= 1e-8

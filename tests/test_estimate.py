@@ -3,7 +3,7 @@ import pytest
 
 from phidiv import (CHI2, KL, KLM, EstimateOptions, EstimationError,
                     MomentModel, WeightedSample, estimate, get_model,
-                    population_estimate, profile_gradient, profile_objective)
+                    profile_gradient, profile_objective)
 from phidiv.estimate import variance_blocks
 
 from conftest import random_feasible_instance
@@ -153,7 +153,7 @@ def test_population_estimate_on_model():
     # fine discretization of uniform[-1, 1]: model holds, theta* = 1/3
     from phidiv.simulate import discretize_uniform
     p0 = discretize_uniform(-1.0, 1.0, 4000)
-    est = population_estimate(CHI2, MV, p0, options=FAST)
+    est = estimate(CHI2, MV, p0, options=FAST)
     assert est.divergence_hat == pytest.approx(0.0, abs=1e-6)
     assert est.theta_hat[0] == pytest.approx(1.0 / 3.0, abs=1e-3)
 
@@ -161,9 +161,9 @@ def test_population_estimate_on_model():
 def test_population_estimate_misspecified():
     from phidiv.simulate import discretize_uniform
     p0 = discretize_uniform(-1.0, 1.5, 4000)
-    est = population_estimate(CHI2, MV, p0, options=FAST)
+    est = estimate(CHI2, MV, p0, options=FAST)
     assert est.divergence_hat > 1e-3
-    coarse = population_estimate(
+    coarse = estimate(
         CHI2, MV, discretize_uniform(-1.0, 1.5, 1000), options=FAST)
     assert abs(coarse.divergence_hat - est.divergence_hat) < 1e-3
 

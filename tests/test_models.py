@@ -4,39 +4,28 @@ import pytest
 from phidiv import (DataError, MomentModel, ParameterSpaceError,
                     WeightedSample, builtin_model, get_model, load_csv,
                     register_model)
-from phidiv.models import gbar, moment_mean
+from phidiv.dual import _augmented
 
 
 def test_gbar_values():
+    # the rows of the dual design matrix are gbar(x) = (1, g(x, theta))
     mean = builtin_model("mean")
-    assert np.allclose(gbar(mean, 3.0, [1.0]), [1.0, 2.0])
+    one = WeightedSample.from_points(np.array([3.0]))
+    assert np.array_equal(_augmented(mean, one, np.array([1.0])), [[1.0, 2.0]])
     mv = builtin_model("mean-variance")
-    assert np.allclose(gbar(mv, 2.0, [1.0]), [1.0, 2.0, 3.0])
-    assert np.allclose(gbar(mv, 0.0, [0.0]), [1.0, 0.0, 0.0])
-    batch = gbar(mv, np.array([[0.0], [2.0]]), [1.0])
-    assert batch.shape == (2, 3)
-    assert np.all(batch[:, 0] == 1.0)
+    s = WeightedSample.from_points(np.array([2.0, 0.0]))
+    assert np.array_equal(_augmented(mv, s, np.array([1.0])),
+                          [[1.0, 2.0, 3.0], [1.0, 0.0, -1.0]])
 
 
-def test_gbar_rejects_theta_outside_box():
+def test_check_theta_rejects_outside_box():
     mean = builtin_model("mean")
     with pytest.raises(ParameterSpaceError):
-        gbar(mean, 1.0, [11.0])
+        mean.check_theta([11.0])
     with pytest.raises(ParameterSpaceError):
-        gbar(mean, 1.0, [0.0, 0.0])
+        mean.check_theta([0.0, 0.0])
     with pytest.raises(ParameterSpaceError):
-        gbar(mean, 1.0, [np.nan])
-
-
-def test_moment_mean():
-    mean = builtin_model("mean")
-    s = WeightedSample.from_points(np.array([0.0, 2.0]))
-    assert np.allclose(moment_mean(mean, s, [1.0]), [0.0])
-    s1 = WeightedSample.from_points(np.array([5.0]))
-    assert np.allclose(moment_mean(mean, s1, [5.0]), [0.0])
-    mv = builtin_model("mean-variance")
-    s3 = WeightedSample.from_points(np.array([-1.0, 0.0, 1.0]))
-    assert np.allclose(moment_mean(mv, s3, [1.0 / 3.0]), [0.0, 1.0 / 3.0])
+        mean.check_theta([np.nan])
 
 
 def test_builtin_dimensions():
