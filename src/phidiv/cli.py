@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -288,7 +289,23 @@ def main(argv=None):
             and args.theta is None:
         parser.error("test theta/ratio requires --theta")
     try:
+        code = _run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # the reader of stdout has gone: send what is left to devnull, so that
+        # the flush at exit does not fail again, and exit quietly
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_IO
+    return code
+
+
+def _run(args):
+    try:
         return args.func(args)
+    except BrokenPipeError:
+        raise
     except (OSError, DataError) as exc:
         _emit({"error": str(exc), "kind": "io"})
         return EXIT_IO

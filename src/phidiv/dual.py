@@ -136,7 +136,7 @@ def _newton_ascent(fam, A, w, t0, *, t0_index, tol, max_iter, margin):
         accepted = False
         blocked_by_domain = False
         cand, ucand, fc = t, u, f
-        for _ in range(60):
+        for halvings in range(60):
             cand = t + alpha * step
             ucand = A @ cand
             if fam.strictly_feasible(ucand, margin=margin):
@@ -162,9 +162,17 @@ def _newton_ascent(fam, A, w, t0, *, t0_index, tol, max_iter, margin):
         else:
             growth_run = 0
         prev_step = snorm
+        # fc == f first: a step that makes progress pays one compare
+        stalled = fc == f and (cand.view(np.uint64) == t.view(np.uint64)).all()
         t, u, f = cand, ucand, fc
         if f > OBJ_BOUND or abs(t).max() > T_BOUND or growth_run >= STEP_GROWTH_RUNS:
             status = "unbounded"
+            break
+        if stalled:
+            # the accepted step left t bitwise unchanged, below the rounding
+            # floor of f: every later iteration would replay this one exactly
+            diag["backtracks"] += (max_iter - it) * halvings
+            it = max_iter
             break
     return t, u, f, status, it, gnorm, diag
 
@@ -216,17 +224,35 @@ def _shrink_feasible(fam, A, t, margin):
     return np.zeros_like(t)
 
 
+def _separated(A):
+    """True when some moment column j of A = (1, g) keeps one strict sign c
+    over every point: 0 is then outside the convex hull of the g(X_i, theta).
+
+    For gamma <= 1, psi is finite and increasing on (-inf, 0], so t_0 = s,
+    t_j = -s c / min_i |g_ij| keeps every u_i <= 0 while f >= s: the dual is
+    unbounded.  The sums of signs are integers, exact in doubles.
+    """
+    s = np.sign(A)
+    sums = (s[:, 0] @ s).tolist()  # column 0 is all ones: sums[0] = n
+    return any(abs(v) == sums[0] for v in sums[1:])
+
+
 def solve_inner(fam, model, sample, theta, init=None, tol=1e-9,
                 max_iter=200, margin=1e-10):
     """Maximize the dual criterion at fixed theta.
 
     Default initialization is the quadratic closed form shrunk into the
-    feasible region, falling back to t = 0 (always feasible).
+    feasible region, falling back to t = 0 (always feasible).  For
+    gamma <= 1 a moment column of one strict sign (see _separated) returns
+    "unbounded" at once: t = 0, objective +inf, no Newton iteration.
     """
     theta = model.check_theta(theta)
     A = _augmented(model, sample, theta)
     w = sample.weights
     dim = A.shape[1]
+    if fam.gamma <= 1.0 and _separated(A):
+        return DualSolution(np.zeros(dim), np.zeros(A.shape[0]), np.inf, "unbounded",
+                            0, np.inf, {"ridge_used": False, "backtracks": 0})
     if init is not None:
         t0 = _shrink_feasible(fam, A, np.asarray(init, dtype=float), margin)
     else:

@@ -9,6 +9,8 @@ Evaluation is vectorized over observations: points are always handled as an
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -145,14 +147,47 @@ def get_model(name, **kwargs):
 
 
 def load_csv(path, header=False):
-    """Read a sample from CSV: one row per observation, m numeric columns.
+    """Read a sample from UTF-8 CSV: one row per observation, m numeric
+    columns, the first CSV record skipped when header is true.
 
     Raises :class:`DataError` naming the offending row and column on any
-    non-numeric or non-finite cell or ragged row.
+    non-numeric or non-finite cell or ragged row, and the byte offset of
+    text that is not UTF-8.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    # numpy parses the file in one pass, each value as float(cell) gives it;
+    # but numpy also strips the ASCII separators 0x1c-0x1f around a cell, so a
+    # file holding one goes to the row reader.  That reader also runs when
+    # numpy fails or finds a non-finite cell or no rows: it names the
+    # offending cell, and it takes the forms float() accepts and numpy does
+    # not (1_0, non-ASCII digits, whitespace-only rows).
+    pts = None
+    if not any(sep in raw for sep in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+        try:
+            with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as fh, \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # input contained no data
+                if header:
+                    next(csv.reader(fh), None)  # one CSV record; skiprows counts lines
+                pts = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+            pass
+    if pts is None or pts.size == 0 or not np.isfinite(pts).all():
+        pts = _read_rows(path, raw, header)
+    return WeightedSample.from_points(pts)
+
+
+def _read_rows(path, raw, header):
+    """Row-by-row reader behind load_csv: float() on every cell."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8: byte {raw[exc.start]:#04x} at "
+                        f"offset {exc.start}") from None
     rows = []
     skipped = []  # file rows holding no data, to name data rows in errors
-    with open(path, newline="") as fh:
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         for i, row in enumerate(reader):
             if (header and i == 0) or not row or all(c.strip() == "" for c in row):
@@ -179,7 +214,7 @@ def load_csv(path, header=False):
         k, j = np.argwhere(~finite)[0]
         raise DataError(f"{path}: non-finite value {float(pts[k, j])!r} at "
                         f"row {_file_row(skipped, k)}, column {j + 1}")
-    return WeightedSample.from_points(pts)
+    return pts
 
 
 def _file_row(skipped, k):

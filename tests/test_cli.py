@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -56,6 +58,26 @@ def test_nonfinite_cell_is_io_error_naming_position(capsys, tmp_path):
     assert code == 2
     assert payload["kind"] == "io"
     assert "row 3, column 1" in payload["error"]
+
+
+def test_non_utf8_file_is_io_error_naming_offset(capsys, tmp_path):
+    p = tmp_path / "latin.csv"
+    p.write_bytes(b"1\n\xff2\n")
+    code, payload = run(capsys, "estimate", "--data", str(p))
+    assert code == 2
+    assert payload == {"error": f"{p}: not UTF-8: byte 0xff at offset 2", "kind": "io"}
+
+
+@pytest.mark.parametrize("buffering", [1, -1])  # write raises / flush raises
+def test_closed_stdout_exits_quietly(capsys, data_csv, monkeypatch, buffering):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w", buffering=buffering) as closed:
+        with monkeypatch.context() as m:
+            m.setattr(sys, "stdout", closed)
+            code = main(["estimate", "--data", str(data_csv), "--family", "chi2"])
+    assert code == 2
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("theta", ["1/0", "nan", "inf", "1/x"])

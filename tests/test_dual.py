@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from phidiv import (CHI2, CHI2M, HELLINGER, KL, KLM, RankDeficiencyError,
-                    WeightedSample, chi2_closed_form, el_reduced_solve,
+                    WeightedSample, chi2_closed_form, el_reduced_solve, family,
                     get_model, solve_inner)
+from phidiv import dual
 from phidiv.dual import _augmented, _grad_hess, _objective
 
 from conftest import primal_grid, primal_quadratic, random_feasible_instance
@@ -121,6 +122,51 @@ def test_el_unbounded_on_hull_boundary():
     sol = solve_inner(KLM, MEAN, S01, [1.0])
     assert sol.status == "unbounded"
     assert sol.weights is None
+
+
+# x in [-1, 1.01]: x^2 - theta keeps one sign at theta = -2 and at theta = 5
+SEPARATED = WeightedSample.from_points(np.random.default_rng(3).uniform(-1.0, 1.01, 200))
+
+
+@pytest.mark.parametrize("spec", ["KLm", "KL", "hellinger", "chi2m",
+                                  "power:0.75", "power:-0.5"])
+@pytest.mark.parametrize("theta", [-2.0, 5.0])
+def test_separated_theta_is_unbounded_without_newton(spec, theta, monkeypatch):
+    calls = []
+    monkeypatch.setattr(dual, "_grad_hess", lambda *a: calls.append(a))
+    monkeypatch.setattr(dual, "chi2_closed_form", lambda *a: calls.append(a))
+    sol = solve_inner(family(spec), MV, SEPARATED, [theta])
+    assert (sol.status, sol.iterations, sol.objective) == ("unbounded", 0, np.inf)
+    assert not sol.t.any() and not sol.u.any()
+    assert sol.weights is None
+    assert calls == []
+
+
+@pytest.mark.parametrize("spec", ["chi2", "power:3"])
+def test_separated_theta_is_solved_for_gamma_above_one(spec):
+    # dom psi is bounded below there, so the dual is bounded and Newton runs
+    # (power:3 stops at max-iterations at this theta)
+    sol = solve_inner(family(spec), MV, SEPARATED, [-2.0])
+    assert sol.status != "unbounded" and sol.iterations > 0
+    assert np.isfinite(sol.objective) and sol.objective > 0.0
+
+
+def test_newton_stall_fast_forward_matches_full_run(monkeypatch):
+    # Below the rounding floor of f the accepted steps stop moving t from
+    # iteration 17 on (t_0 still moves in its last bits after u stops at
+    # iteration 11); t, f and the counts are those of all 200 iterations.
+    calls = []
+    real = dual._grad_hess
+    monkeypatch.setattr(dual, "_grad_hess", lambda *a: calls.append(1) or real(*a))
+    sample = WeightedSample.from_points(
+        np.random.default_rng(20240817).uniform(-1.0, 2.0, 300))
+    sol = solve_inner(KLM, MV, sample, [0.5135235126042885])
+    assert [v.hex() for v in sol.t] == [
+        "0x1.618b78a000001p-28", "-0x1.3cb349d28be89p-1", "-0x1.67fa9580a7a4cp-1"]
+    assert sol.objective.hex() == "0x1.071131e15ba8bp-2"
+    assert (sol.status, sol.iterations, sol.diagnostics["backtracks"]) == \
+        ("max-iterations", 200, 10294)
+    assert len(calls) <= 18
 
 
 def test_el_reduced_value():

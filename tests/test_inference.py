@@ -61,6 +61,14 @@ def test_simple_theta_unbounded_is_rejection():
     assert rep.p_value == 0.0
 
 
+def test_simple_theta_separated_is_rejection():
+    # x^2 + 2 > 0 at every point: 0 is outside the hull of the moment vectors
+    s = WeightedSample.from_points(np.linspace(-1.0, 1.0, 41))
+    rep = simple_test(KLM, MV, s, [-2.0], 0.05)
+    assert rep.flag == "inner solve unbounded; treated as rejection"
+    assert (rep.statistic, rep.decision, rep.p_value) == (np.inf, "reject", 0.0)
+
+
 def test_composite_theta_zero_at_thetahat(rng):
     x = rng.uniform(-1.0, 1.1, size=150)
     s = WeightedSample.from_points(x)

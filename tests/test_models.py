@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phidiv import (DataError, MomentModel, ParameterSpaceError,
                     WeightedSample, builtin_model, get_model, load_csv,
@@ -110,3 +112,73 @@ def test_load_csv(tmp_path):
         empty = tmp_path / "e.csv"
         empty.write_text("")
         load_csv(empty)
+
+
+_FORMATS = (repr, lambda v: f"{v:.17g}", lambda v: f"{v:.5e}")
+
+
+@st.composite
+def _csv_texts(draw):
+    """A CSV text and its cells, as (text, header, rows of cell strings)."""
+    ncol = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                   min_size=ncol, max_size=ncol), min_size=1, max_size=8))
+    lines, rows = [], []
+    header = draw(st.booleans())
+    if header:
+        lines.append(draw(st.sampled_from(["x", "a,b,c", '"x","y"', '"h,1"'])))
+    for vals in cells:
+        texts = [draw(st.sampled_from(_FORMATS))(v) for v in vals]
+        rows.append(texts)
+        padded = []
+        for text in texts:
+            pad = draw(st.sampled_from(["", " ", "  ", "\t"]))
+            text = pad + text + draw(st.sampled_from(["", " ", "\t"]))
+            padded.append(f'"{text}"' if draw(st.booleans()) else text)
+        lines.append(",".join(padded))
+        if draw(st.integers(0, 4)) == 0:  # a blank or whitespace-only row
+            lines.append(draw(st.sampled_from(["", " ", "\t", "  "])))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline, header, rows
+
+
+@given(_csv_texts())
+@settings(max_examples=150, deadline=None)
+def test_load_csv_matches_float_per_cell(tmp_path_factory, case):
+    text, header, rows = case
+    p = tmp_path_factory.mktemp("csv") / "d.csv"
+    p.write_bytes(text.encode())
+    expected = np.array([[float(c) for c in row] for row in rows])
+    got = load_csv(p, header=header).points
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("content, header, message", [
+    (b"1.0\nx\n", False, "non-numeric value 'x' at row 2, column 1"),
+    (b"1,2\n3,4,\n", False, "non-numeric value '' at row 2, column 3"),
+    (b"a,b\n1,2\n\n3\n", True, "row 4 has 1 columns, expected 2"),
+    (b"x,y\n1,2\n\n3,nan\n", True, "non-finite value nan at row 4, column 2"),
+    (b"1\n-Infinity\n", False, "non-finite value -inf at row 2, column 1"),
+    (b"1\n1e999\n", False, "non-finite value inf at row 2, column 1"),
+    (b"", False, "no data rows"),
+    (b"a,b\n \n,\n", True, "no data rows"),
+    (b"1\n\xff2\n", False, "not UTF-8: byte 0xff at offset 2"),
+    (b"1\n\x1c2\n", False, "non-numeric value '\\x1c2' at row 2, column 1"),
+])
+def test_load_csv_error_messages(tmp_path, content, header, message):
+    p = tmp_path / "d.csv"
+    p.write_bytes(content)
+    with pytest.raises(DataError) as exc:
+        load_csv(p, header=header)
+    assert str(exc.value) == f"{p}: {message}"
+
+
+def test_load_csv_forms_float_accepts(tmp_path):
+    # cells numpy refuses but float() takes, and rows holding no data
+    p = tmp_path / "d.csv"
+    p.write_text("1_0,٢\n \t\n,\n 3 ,\"4\"\n", encoding="utf-8")
+    assert load_csv(p).points.tolist() == [[10.0, 2.0], [3.0, 4.0]]
+    # a header record spanning lines is skipped whole
+    p.write_text('"x\n5\n"\n7\n', encoding="utf-8")
+    assert load_csv(p, header=True).points.tolist() == [[7.0]]
