@@ -101,12 +101,18 @@ class DivergenceFamily:
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             return base ** ((2.0 - g) / (g - 1.0))
 
+    def interior(self, margin=1e-10):
+        """Bounds (lo, hi) of dom psi shrunk by an absolute margin at finite
+        endpoints: u is strictly feasible when lo < u < hi."""
+        lo = self.a_star + margin if math.isfinite(self.a_star) else -INF
+        hi = self.b_star - margin if math.isfinite(self.b_star) else INF
+        return lo, hi
+
     def strictly_feasible(self, u, margin=1e-10):
         """True when every entry of u is inside dom psi, with an absolute
         safety margin at finite endpoints."""
         u = np.asarray(u, dtype=float)
-        lo = self.a_star + margin if math.isfinite(self.a_star) else -INF
-        hi = self.b_star - margin if math.isfinite(self.b_star) else INF
+        lo, hi = self.interior(margin)
         return bool(u.min() > lo and u.max() < hi)
 
 

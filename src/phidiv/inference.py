@@ -19,12 +19,12 @@ than as an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .distributions import chi2_cdf, chi2_quantile, normal_cdf, normal_quantile
-from .dual import criterion_variance, solve_inner
+from .dual import criterion_variance, solve_inner, solve_inner_grid
 from .errors import EstimationError, NotApplicableError
 from .estimate import EstimateOptions, estimate
 
@@ -97,21 +97,40 @@ def test_theta_simple(fam, model, sample, theta, alpha=0.05):
     return _report("simple-theta-test", stat, model.l, alpha, sigma2)
 
 
+def _refit_from(fam, model, sample, theta, options):
+    """Fit again with theta as an extra start: the fit missed the minimum,
+    since the criterion at theta lies below its divergence_hat."""
+    start = tuple(float(v) for v in np.atleast_1d(np.asarray(theta, dtype=float)))
+    return estimate(fam, model, sample,
+                    options=replace(options or EstimateOptions(), theta0=start))
+
+
 def test_theta_composite(fam, model, sample, theta, alpha=0.05, options=None):
-    """Ratio test of a fixed theta against the unrestricted minimum."""
+    """Ratio test of a fixed theta against the unrestricted minimum.
+
+    When the criterion at theta is below the fitted minimum, the fit is
+    redone with theta as an extra start and the report says so in its flag.
+    """
     est = estimate(fam, model, sample, options=options)
     sol = solve_inner(fam, model, sample, theta)
     if sol.status != "converged":
         return _report("composite-theta-test", INF, model.d, alpha,
                        flag=f"inner solve {sol.status}; treated as rejection")
+    flag = None
+    if sol.objective < est.divergence_hat:
+        est = _refit_from(fam, model, sample, theta, options)
+        flag = "fit missed the minimum; refitted from the tested theta"
     stat = 2.0 * sample.n * (sol.objective - est.divergence_hat)
-    return _report("composite-theta-test", stat, model.d, alpha, est.sigma2_hat)
+    return _report("composite-theta-test", stat, model.d, alpha, est.sigma2_hat, flag)
 
 
 def confidence_region(fam, model, sample, alpha, grid, options=None):
     """Grid points whose ratio statistic stays below the chi-square quantile.
 
     grid: array of parameter values, shape (npts,) for d = 1 or (npts, d).
+    The grid is solved by solve_inner_grid, warm-started at the fit; when a
+    converged grid point lies below the fitted minimum, the fit is redone
+    from the best such point before the statistics are formed.
     Returns (accepted_points, empty_flag).
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
@@ -119,17 +138,13 @@ def confidence_region(fam, model, sample, alpha, grid, options=None):
         grid = grid.T
     est = estimate(fam, model, sample, options=options)
     crit = chi2_quantile(1.0 - alpha, model.d)
-    n = sample.n
-    accepted = []
-    warm = est.t_hat
-    for theta in grid:
-        sol = solve_inner(fam, model, sample, theta, init=warm)
-        if sol.status != "converged":
-            continue
-        stat = 2.0 * n * (sol.objective - est.divergence_hat)
-        if stat <= crit:
-            accepted.append(theta)
-    pts = np.asarray(accepted).reshape(-1, model.d)
+    objective = np.array([sol.objective if sol.converged else np.nan for sol in
+                          solve_inner_grid(fam, model, sample, grid, init=est.t_hat)])
+    converged = ~np.isnan(objective)
+    if converged.any() and np.nanmin(objective) < est.divergence_hat:
+        est = _refit_from(fam, model, sample, grid[np.nanargmin(objective)], options)
+    stat = 2.0 * sample.n * (objective[converged] - est.divergence_hat)
+    pts = grid[converged][stat <= crit].reshape(-1, model.d)
     return pts, pts.shape[0] == 0
 
 

@@ -147,6 +147,14 @@ def test_confidence_interval_json(capsys, data_csv):
     assert 0.1 <= lo < hi <= 0.9
 
 
+def test_confidence_empty_grid(capsys, data_csv):
+    code, payload = run(capsys, "confidence", "--data", str(data_csv),
+                        "--grid", "0.1:0.9:0", "--family", "KLm")
+    assert code == 0
+    assert payload["empty"] is True and payload["points"] == []
+    assert "interval" not in payload
+
+
 def test_out_file_written(capsys, data_csv, tmp_path):
     out = tmp_path / "res.json"
     code, _ = run(capsys, "estimate", "--data", str(data_csv), "--out", str(out))

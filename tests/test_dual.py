@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phidiv import (CHI2, CHI2M, HELLINGER, KL, KLM, RankDeficiencyError,
                     WeightedSample, chi2_closed_form, el_reduced_solve, family,
-                    get_model, solve_inner)
+                    get_model, power_family, solve_inner)
 from phidiv import dual
-from phidiv.dual import _augmented, _grad_hess, _objective
+from phidiv.dual import _augmented, _grad_hess, _objective, solve_inner_grid
 
 from conftest import primal_grid, primal_quadratic, random_feasible_instance
 
@@ -256,3 +258,50 @@ def test_hessian_negative_semidefinite_along_path(rng):
     for frac in np.linspace(0.0, 1.0, 11):
         _, hess = grad_hess_at(KL, model, sample, theta, frac * sol.t)
         assert np.max(np.linalg.eigvalsh(hess)) <= 1e-8
+
+
+def solution_bits(sol):
+    """Everything solve_inner returns, as bytes: equal keys are bit for bit."""
+    return (sol.t.tobytes(), sol.u.tobytes(), float(sol.objective).hex(), sol.status,
+            sol.iterations, float(sol.grad_norm).hex(), sol.diagnostics["backtracks"],
+            sol.diagnostics["ridge_used"], sol.weights_of is None)
+
+
+def grid_case(gamma, model_name, n, seed, ties, warm, npts):
+    """A sample and a grid mixing theta inside the hull of the moment values,
+    theta that separate them (unbounded before Newton for gamma <= 1) and
+    theta in the box outside the data range; ties make singular Hessians
+    (ridge steps) and a "large" warm start overflows KL's conjugate."""
+    fam, model = power_family(gamma), get_model(model_name)
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0 + rng.random(), n)
+    if ties:
+        x = rng.choice(x[:2], n)
+    inside = x ** 2 if model_name == "mean-variance" else x
+    grid = np.concatenate([rng.uniform(inside.min(), inside.max(), npts),
+                           rng.uniform(-10.0, 10.0, npts // 2 + 1)])[:, None]
+    rng.shuffle(grid)
+    init = {"zero": np.zeros(model.l + 1), "random": rng.normal(0.0, 0.5, model.l + 1),
+            "large": rng.normal(0.0, 1e3, model.l + 1), "closed-form": None}[warm]
+    return fam, model, WeightedSample.from_points(x), grid, init
+
+
+@given(gamma=st.one_of(st.sampled_from([0.0, 1.0, 2.0, -1.0, 0.5]),
+                       st.floats(-3.0, 4.0, allow_nan=False)),
+       model_name=st.sampled_from(["mean", "mean-variance"]),
+       n=st.integers(3, 300), seed=st.integers(0, 2 ** 32 - 1), ties=st.booleans(),
+       warm=st.sampled_from(["zero", "random", "large", "closed-form"]),
+       npts=st.integers(1, 24), stack_bytes=st.sampled_from([1 << 12, 1 << 17]))
+@example(1.5, "mean-variance", 40, 0, False, "random", 12, 1 << 17)  # boundary stops
+@example(1.5, "mean-variance", 40, 8, True, "random", 12, 1 << 17)   # ridge steps
+@example(1.0, "mean-variance", 40, 4, False, "large", 12, 1 << 17)   # KL overflows
+@settings(max_examples=50, deadline=None)
+def test_grid_solve_equals_solve_inner_bit_for_bit(gamma, model_name, n, seed, ties,
+                                                   warm, npts, stack_bytes):
+    fam, model, sample, grid, init = grid_case(gamma, model_name, n, seed, ties, warm, npts)
+    with pytest.MonkeyPatch.context() as mp:  # small budgets: several chunks
+        mp.setattr(dual, "STACK_BYTES", stack_bytes)
+        got = [solution_bits(sol) for sol in
+               solve_inner_grid(fam, model, sample, grid, init=init)]
+    want = [solution_bits(solve_inner(fam, model, sample, theta, init=init)) for theta in grid]
+    assert got == want

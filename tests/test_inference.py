@@ -1,13 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from phidiv import (CHI2, KLM, EstimateOptions, EstimationError,
-                    NotApplicableError, WeightedSample, chi2_quantile,
-                    confidence_region, el_reduced_solve, estimate, get_model,
-                    power_approx, sample_size, sample_size_real)
+                    NotApplicableError, ParameterSpaceError, WeightedSample,
+                    chi2_quantile, confidence_region, el_reduced_solve,
+                    estimate, get_model, power_approx, sample_size,
+                    sample_size_real, solve_inner)
 from phidiv import test_model as model_test
 from phidiv import test_theta_composite as composite_test
 from phidiv import test_theta_simple as simple_test
+from phidiv import dual
 
 MEAN = get_model("mean")
 MV = get_model("mean-variance")
@@ -133,6 +137,64 @@ def test_confidence_region_nested_in_alpha(rng):
     tight_set = set(np.round(tight.ravel(), 12))
     wide_set = set(np.round(wide.ravel(), 12))
     assert tight_set <= wide_set
+
+
+def test_confidence_region_one_point_grid(rng):
+    s = WeightedSample.from_points(rng.uniform(-1.0, 1.1, size=150))
+    est = estimate(KLM, MV, s, options=FAST)
+    pts, empty = confidence_region(KLM, MV, s, 0.05, est.theta_hat, options=FAST)
+    assert not empty and pts.tolist() == [est.theta_hat.tolist()]
+    pts, empty = confidence_region(KLM, MV, s, 0.05, [-2.0], options=FAST)
+    assert empty and pts.shape == (0, 1)
+
+
+def test_confidence_region_out_of_box_theta_is_parameter_error(rng):
+    s = WeightedSample.from_points(rng.uniform(-1.0, 1.1, size=150))
+    with pytest.raises(ParameterSpaceError) as want:
+        solve_inner(KLM, MV, s, [11.0])
+    with pytest.raises(ParameterSpaceError) as got:
+        confidence_region(KLM, MV, s, 0.05, [0.3, 0.4, 11.0, 0.5], options=FAST)
+    assert str(got.value) == str(want.value) == "theta=[11.] outside the parameter box"
+
+
+def grid_peak_bytes(n):
+    """Peak traced allocation of an 81-point confidence_region at n points."""
+    s = WeightedSample.from_points(np.random.default_rng(0).uniform(-1.0, 1.0, n))
+    tracemalloc.start()
+    try:
+        confidence_region(KLM, MV, s, 0.05, np.linspace(0.05, 0.95, 81))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_confidence_region_memory_is_one_chunk():
+    # the grid is solved in chunks of at most dual.STACK_BYTES of design
+    # tensor: stacking all 81 problems at once would hold 243 n-vectors
+    n = 10 ** 5
+    assert grid_peak_bytes(n) <= dual.STACK_BYTES + 20 * 8 * n
+
+
+# KLm with one start and one outer step misses the minimum on this sample:
+# the ratio statistic at the default fit's theta_hat was -0.968
+MISSED = WeightedSample.from_points(np.random.default_rng(1).uniform(-1.0, 1.2, 100))
+ONE_STEP = EstimateOptions(n_starts=1, outer_max_iter=1)
+
+
+def test_composite_refits_when_fit_missed_the_minimum():
+    theta = estimate(KLM, MV, MISSED).theta_hat
+    rep = composite_test(KLM, MV, MISSED, theta, 0.05, options=ONE_STEP)
+    assert 0.0 <= rep.statistic <= 1e-8
+    assert rep.flag == "fit missed the minimum; refitted from the tested theta"
+    assert rep.decision == "accept"
+    assert composite_test(KLM, MV, MISSED, theta, 0.05).flag is None
+
+
+def test_confidence_region_refits_when_fit_missed_the_minimum():
+    grid = np.linspace(0.05, 0.95, 81)
+    missed, _ = confidence_region(KLM, MV, MISSED, 0.05, grid, options=ONE_STEP)
+    full, _ = confidence_region(KLM, MV, MISSED, 0.05, grid)
+    assert missed.tolist() == full.tolist() and full.size == 12
 
 
 def test_power_approx_values():
