@@ -29,6 +29,9 @@ OBJ_BOUND = 1e12        # objective beyond this: declare unbounded
 T_BOUND = 1e8           # dual vector beyond this: declare unbounded
 T_SOFT = 1e6            # gradient convergence beyond this norm: escape to infinity
 STEP_GROWTH_RUNS = 5    # consecutive 10x step growths before unbounded
+TOL = 1e-9              # default gradient tolerance of solve_inner
+MAX_ITER = 200          # default Newton iteration cap of solve_inner
+MARGIN = 1e-10          # default strict-feasibility margin of solve_inner
 
 
 @dataclass
@@ -203,8 +206,9 @@ def _objective_rows(fam, w, U, T):
     return f
 
 
-def _newton_ascent_stack(fam, A, w, t0, *, tol, max_iter, margin):
-    """_newton_ascent (with t0_index 0) on K independent problems at once.
+def _newton_ascent_stack(fam, A, w, t0):
+    """_newton_ascent (with t0_index 0 and the default TOL, MAX_ITER and
+    MARGIN) on K independent problems at once.
 
     A has shape (K, n, p) and t0 shape (K, p).  Every problem keeps its own
     active flag, Armijo step and backtracks, step-growth run, stall
@@ -215,7 +219,7 @@ def _newton_ascent_stack(fam, A, w, t0, *, tol, max_iter, margin):
     (t, u, objective, status, iterations, grad_norm, diagnostics) per problem.
     """
     K = A.shape[0]
-    lo, hi = fam.interior(margin)
+    lo, hi = fam.interior(MARGIN)
     t = np.array(t0, dtype=float)
     u = _matvec(A, t)
     f = _objective_rows(fam, w, u, t)
@@ -243,7 +247,7 @@ def _newton_ascent_stack(fam, A, w, t0, *, tol, max_iter, margin):
         live, A_live, u_live = live[keep], A_live[keep], u_live[keep]
 
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         if not live.size:
             break
         t_l, f_l = t[live], f[live]
@@ -256,7 +260,7 @@ def _newton_ascent_stack(fam, A, w, t0, *, tol, max_iter, margin):
         g_l = abs(grad).max(axis=1)
         gnorm[live] = g_l
         big = abs(t_l).max(axis=1) > T_SOFT
-        done = g_l <= tol * (1.0 + abs(f_l))
+        done = g_l <= TOL * (1.0 + abs(f_l))
         if done.any():
             # a vanishing gradient at an enormous iterate is the slow escape
             # of a log-type criterion toward its boundary, not an optimum
@@ -338,11 +342,11 @@ def _newton_ascent_stack(fam, A, w, t0, *, tol, max_iter, margin):
         if stalled.any():
             # the accepted step left t bitwise unchanged, below the rounding
             # floor of f: every later iteration would replay this one exactly
-            backtracks[live[stalled]] += (max_iter - it) * halvings[stalled]
+            backtracks[live[stalled]] += (MAX_ITER - it) * halvings[stalled]
         ended = unb | stalled
         if ended.any():
             finish(ended, np.where(unb, _UNBOUNDED, _MAXIT)[ended],
-                   np.where(unb, it, max_iter)[ended])
+                   np.where(unb, it, MAX_ITER)[ended])
     if live.size:
         u[live] = u_live
         iters[live] = it
@@ -439,8 +443,8 @@ def _solution(fam, w, t, u, f, status, iters, gnorm, diag):
     return DualSolution(t, u, f, status, iters, gnorm, diag, weights_of)
 
 
-def solve_inner(fam, model, sample, theta, init=None, tol=1e-9,
-                max_iter=200, margin=1e-10):
+def solve_inner(fam, model, sample, theta, init=None, tol=TOL,
+                max_iter=MAX_ITER, margin=MARGIN):
     """Maximize the dual criterion at fixed theta.
 
     Default initialization is the quadratic closed form shrunk into the
@@ -463,8 +467,7 @@ def solve_inner(fam, model, sample, theta, init=None, tol=1e-9,
 STACK_BYTES = 1 << 16
 
 
-def solve_inner_grid(fam, model, sample, thetas, init=None, tol=1e-9,
-                     max_iter=200, margin=1e-10):
+def solve_inner_grid(fam, model, sample, thetas, init=None):
     """solve_inner at every theta of a grid, yielded in order.
 
     The problems are independent, so they are set up one by one as in
@@ -472,14 +475,13 @@ def solve_inner_grid(fam, model, sample, thetas, init=None, tol=1e-9,
     at most STACK_BYTES of design tensor by one stacked Newton; a problem
     larger than the budget, or alone in its chunk, runs the scalar Newton,
     which is faster for a single problem.  Each yielded solution equals
-    solve_inner(fam, model, sample, theta, init, tol, max_iter, margin) bit
-    for bit; the solutions of a chunk share one array for their u.
+    solve_inner(fam, model, sample, theta, init) bit for bit; the solutions
+    of a chunk share one array for their u.
     """
     w = sample.weights
-    opts = dict(tol=tol, max_iter=max_iter, margin=margin)
     size = max(1, STACK_BYTES // (8 * sample.n * (model.l + 1)))
     for start in range(0, len(thetas), size):
-        prep = [_prepare(fam, model, sample, theta, init, margin)
+        prep = [_prepare(fam, model, sample, theta, init, MARGIN)
                 for theta in thetas[start:start + size]]
         sols = [sol for _, _, sol in prep]
         todo = [i for i, sol in enumerate(sols) if sol is None]
@@ -487,10 +489,11 @@ def solve_inner_grid(fam, model, sample, thetas, init=None, tol=1e-9,
         del prep
         if len(todo) == 1:
             sols[todo[0]] = _solution(fam, w, *_newton_ascent(
-                fam, A[0], w, t0[0], t0_index=0, **opts))
+                fam, A[0], w, t0[0], t0_index=0, tol=TOL, max_iter=MAX_ITER,
+                margin=MARGIN))
         elif todo:
             A, t0 = np.stack(A), np.stack(t0)
-            for i, res in zip(todo, _newton_ascent_stack(fam, A, w, t0, **opts)):
+            for i, res in zip(todo, _newton_ascent_stack(fam, A, w, t0)):
                 sols[i] = _solution(fam, w, *res)
         del A
         yield from sols

@@ -97,29 +97,34 @@ def test_theta_simple(fam, model, sample, theta, alpha=0.05):
     return _report("simple-theta-test", stat, model.l, alpha, sigma2)
 
 
-def _refit_from(fam, model, sample, theta, options):
-    """Fit again with theta as an extra start: the fit missed the minimum,
-    since the criterion at theta lies below its divergence_hat."""
+def _refit_if_missed(fam, model, sample, est, theta, value, options):
+    """The fit, redone with theta as an extra start when value, the criterion
+    at theta, lies below divergence_hat by more than the fit's own tolerance
+    (outer_tol, relative): the fit then missed the minimum.  A rounding-level
+    gap, as a cold solve at theta_hat gives, keeps the fit.  Returns
+    (fit, refitted)."""
+    options = options or EstimateOptions()
+    slack = options.outer_tol * (1.0 + abs(est.divergence_hat))
+    if value >= est.divergence_hat - slack:
+        return est, False
     start = tuple(float(v) for v in np.atleast_1d(np.asarray(theta, dtype=float)))
-    return estimate(fam, model, sample,
-                    options=replace(options or EstimateOptions(), theta0=start))
+    return estimate(fam, model, sample, options=replace(options, theta0=start)), True
 
 
 def test_theta_composite(fam, model, sample, theta, alpha=0.05, options=None):
     """Ratio test of a fixed theta against the unrestricted minimum.
 
-    When the criterion at theta is below the fitted minimum, the fit is
-    redone with theta as an extra start and the report says so in its flag.
+    When the criterion at theta is below the fitted minimum by more than
+    the fit's tolerance, the fit is redone with theta as an extra start and
+    the report says so in its flag.
     """
     est = estimate(fam, model, sample, options=options)
     sol = solve_inner(fam, model, sample, theta)
     if sol.status != "converged":
         return _report("composite-theta-test", INF, model.d, alpha,
                        flag=f"inner solve {sol.status}; treated as rejection")
-    flag = None
-    if sol.objective < est.divergence_hat:
-        est = _refit_from(fam, model, sample, theta, options)
-        flag = "fit missed the minimum; refitted from the tested theta"
+    est, refitted = _refit_if_missed(fam, model, sample, est, theta, sol.objective, options)
+    flag = "fit missed the minimum; refitted from the tested theta" if refitted else None
     stat = 2.0 * sample.n * (sol.objective - est.divergence_hat)
     return _report("composite-theta-test", stat, model.d, alpha, est.sigma2_hat, flag)
 
@@ -129,8 +134,9 @@ def confidence_region(fam, model, sample, alpha, grid, options=None):
 
     grid: array of parameter values, shape (npts,) for d = 1 or (npts, d).
     The grid is solved by solve_inner_grid, warm-started at the fit; when a
-    converged grid point lies below the fitted minimum, the fit is redone
-    from the best such point before the statistics are formed.
+    converged grid point lies below the fitted minimum by more than the
+    fit's tolerance, the fit is redone from the best such point before the
+    statistics are formed.
     Returns (accepted_points, empty_flag).
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
@@ -141,8 +147,10 @@ def confidence_region(fam, model, sample, alpha, grid, options=None):
     objective = np.array([sol.objective if sol.converged else np.nan for sol in
                           solve_inner_grid(fam, model, sample, grid, init=est.t_hat)])
     converged = ~np.isnan(objective)
-    if converged.any() and np.nanmin(objective) < est.divergence_hat:
-        est = _refit_from(fam, model, sample, grid[np.nanargmin(objective)], options)
+    if converged.any():
+        best = np.nanargmin(objective)
+        est, _ = _refit_if_missed(fam, model, sample, est, grid[best], objective[best],
+                                  options)
     stat = 2.0 * sample.n * (objective[converged] - est.divergence_hat)
     pts = grid[converged][stat <= crit].reshape(-1, model.d)
     return pts, pts.shape[0] == 0

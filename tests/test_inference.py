@@ -11,7 +11,7 @@ from phidiv import (CHI2, KLM, EstimateOptions, EstimationError,
 from phidiv import test_model as model_test
 from phidiv import test_theta_composite as composite_test
 from phidiv import test_theta_simple as simple_test
-from phidiv import dual
+from phidiv import dual, inference
 
 MEAN = get_model("mean")
 MV = get_model("mean-variance")
@@ -170,9 +170,18 @@ def grid_peak_bytes(n):
 
 def test_confidence_region_memory_is_one_chunk():
     # the grid is solved in chunks of at most dual.STACK_BYTES of design
-    # tensor: stacking all 81 problems at once would hold 243 n-vectors
+    # tensor: stacking all 81 problems at once would hold 243 n-vectors;
+    # here a chunk holds one problem, which runs the scalar Newton
     n = 10 ** 5
     assert grid_peak_bytes(n) <= dual.STACK_BYTES + 20 * 8 * n
+
+
+def test_confidence_region_memory_of_stacked_chunks(monkeypatch):
+    # with 21 problems a chunk the stacked Newton holds a fixed multiple of
+    # the budget (4.4 at this size); the whole grid at once peaks at 17 MB
+    monkeypatch.setattr(dual, "STACK_BYTES", 1 << 20)
+    n = 2000
+    assert grid_peak_bytes(n) <= 6 * dual.STACK_BYTES + 20 * 8 * n
 
 
 # KLm with one start and one outer step misses the minimum on this sample:
@@ -188,6 +197,22 @@ def test_composite_refits_when_fit_missed_the_minimum():
     assert rep.flag == "fit missed the minimum; refitted from the tested theta"
     assert rep.decision == "accept"
     assert composite_test(KLM, MV, MISSED, theta, 0.05).flag is None
+
+
+# a cold solve at the default fit's own theta_hat lands one ulp below its
+# divergence_hat on this sample: rounding, not a missed minimum
+ROUNDED = WeightedSample.from_points(np.random.default_rng(0).uniform(-1.0, 1.1, 100))
+
+
+def test_no_refit_on_a_rounding_gap(monkeypatch):
+    est = estimate(KLM, MV, ROUNDED)
+    assert solve_inner(KLM, MV, ROUNDED, est.theta_hat).objective < est.divergence_hat
+    fits = []
+    monkeypatch.setattr(inference, "estimate", lambda *a, **k: fits.append(1) or est)
+    rep = composite_test(KLM, MV, ROUNDED, est.theta_hat, 0.05)
+    assert rep.flag is None and -1e-12 < rep.statistic < 0.0
+    pts, _ = confidence_region(KLM, MV, ROUNDED, 0.05, est.theta_hat)
+    assert pts.tolist() == [est.theta_hat.tolist()] and len(fits) == 2
 
 
 def test_confidence_region_refits_when_fit_missed_the_minimum():
