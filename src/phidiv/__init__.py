@@ -12,7 +12,7 @@ __version__ = "1.0.0"
 
 from .distributions import (chi2_cdf, chi2_pdf, chi2_quantile, normal_cdf,
                             normal_pdf, normal_quantile)
-from .dual import DualSolution, chi2_closed_form, el_reduced_solve, solve_inner
+from .dual import DualSolution, chi2_closed_form, solve_inner
 from .errors import (DataError, DomainError, EstimationError,
                      NotApplicableError, ParameterSpaceError, PhidivError,
                      RankDeficiencyError)
@@ -34,7 +34,7 @@ __all__ = [
     "KLM", "KL", "CHI2", "CHI2M", "HELLINGER",
     "MomentModel", "WeightedSample", "builtin_model", "register_model",
     "get_model", "load_csv",
-    "DualSolution", "solve_inner", "chi2_closed_form", "el_reduced_solve",
+    "DualSolution", "solve_inner", "chi2_closed_form",
     "EstimateOptions", "EstimationResult", "estimate",
     "profile_objective", "profile_gradient", "variance_blocks",
     "TestReport", "test_model", "test_theta_simple", "test_theta_composite",

@@ -26,7 +26,7 @@ from .families import family as resolve_family
 from .inference import (confidence_region, power_approx, sample_size,
                         test_model, test_theta_composite, test_theta_simple)
 from .models import get_model, load_csv
-from .simulate import reproduce_figure1
+from .simulate import DEFAULT_N_LIST, DEFAULT_RUNS, reproduce_figure1
 
 EXIT_USAGE = 1
 EXIT_IO = 2
@@ -52,6 +52,15 @@ def _parse_real(text):
     if not math.isfinite(value):
         raise ValueError(f"{s!r} is not a finite number")
     return value
+
+
+def _parse_sizes(text):
+    """Comma separated sample sizes, each an integer >= 1; anything else
+    raises ValueError, which argparse reports as a usage error."""
+    sizes = tuple(int(v) for v in str(text).split(","))
+    if min(sizes) < 1:
+        raise ValueError("sample sizes must be >= 1")
+    return sizes
 
 
 def _parse_grid(spec):
@@ -162,10 +171,8 @@ def cmd_simulate(args):
     if not args.figure1:
         raise DataError("only --figure1 simulation is wired up; pass --figure1")
     eps = tuple(_parse_grid(args.eps_grid)) if args.eps_grid else None
-    n_list = tuple(int(v) for v in args.n_list.split(",")) if args.n_list \
-        else (50, 100, 200, 500)
     rows = reproduce_figure1(args.seed, out_path=args.out, family=args.family,
-                             n_list=n_list, epsilon_grid=eps, runs=args.runs,
+                             n_list=args.n_list, epsilon_grid=eps, runs=args.runs,
                              alpha=args.alpha, threads=args.threads)
     print(f"wrote {len(rows)} rows" + (f" to {args.out}" if args.out else ""),
           file=sys.stderr)
@@ -232,11 +239,12 @@ def build_parser():
                    help="power curve table: MC versus analytic approximation")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--family", default="KLm")
-    p.add_argument("--runs", type=int, default=1000)
+    p.add_argument("--runs", type=int, default=DEFAULT_RUNS)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--eps-grid", default=None, help="lo:hi:steps")
-    p.add_argument("--n-list", default=None, help="comma separated sizes")
+    p.add_argument("--n-list", type=_parse_sizes, default=DEFAULT_N_LIST,
+                   help="comma separated sample sizes")
     p.add_argument("--out", default=None, help="CSV output path")
     p.set_defaults(func=cmd_simulate)
     return parser, sub.choices

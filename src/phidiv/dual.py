@@ -22,16 +22,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import RankDeficiencyError
-from .families import CHI2, KLM, DivergenceFamily, _psi_arr
-from .models import MomentModel, WeightedSample
+from .families import CHI2, _psi_arr
 
 OBJ_BOUND = 1e12        # objective beyond this: declare unbounded
 T_BOUND = 1e8           # dual vector beyond this: declare unbounded
 T_SOFT = 1e6            # gradient convergence beyond this norm: escape to infinity
 STEP_GROWTH_RUNS = 5    # consecutive 10x step growths before unbounded
 TOL = 1e-9              # default gradient tolerance of solve_inner
-MAX_ITER = 200          # default Newton iteration cap of solve_inner
-MARGIN = 1e-10          # default strict-feasibility margin of solve_inner
+MAX_ITER = 200          # Newton iteration cap
+MARGIN = 1e-10          # strict-feasibility margin of the Newton line search
 
 
 @dataclass
@@ -82,25 +81,23 @@ def _augmented(model, sample, theta):
 # The private evaluators take u = A @ t, computed once per trial point by the
 # caller and shared by the feasibility test, value, derivatives and weights.
 
-def _objective(fam, w, u, t, t0_index):
+def _objective(fam, w, u, t):
     vals = _psi_arr(fam.gamma, u)
     if not np.isfinite(vals).all():
         return -np.inf
-    base = t[t0_index] if t0_index is not None else 0.0
-    return float(base - w @ vals)
+    return float(t[0] - w @ vals)
 
 
-def _grad_hess(fam, A, w, u, t0_index):
+def _grad_hess(fam, A, w, u):
     s1 = w * fam.psi_d1(u)
     s2 = w * fam.psi_d2(u)
     grad = -(A.T @ s1)
-    if t0_index is not None:
-        grad[t0_index] += 1.0
+    grad[0] += 1.0
     hess = -((A * s2[:, None]).T @ A)
     return grad, hess
 
 
-def _newton_ascent(fam, A, w, t0, *, t0_index, tol, max_iter, margin):
+def _newton_ascent(fam, A, w, t0, tol):
     """Damped Newton with backtracking kept strictly feasible, from t0 or,
     when the criterion is not finite there, from t = 0.
 
@@ -108,11 +105,11 @@ def _newton_ascent(fam, A, w, t0, *, t0_index, tol, max_iter, margin):
     """
     t = np.array(t0, dtype=float)
     u = A @ t
-    f = _objective(fam, w, u, t, t0_index)
+    f = _objective(fam, w, u, t)
     if not np.isfinite(f):  # t = 0 is feasible whenever the data are finite
         t = np.zeros_like(t)
         u = A @ t
-        f = _objective(fam, w, u, t, t0_index)
+        f = _objective(fam, w, u, t)
     diag = {"ridge_used": False, "backtracks": 0}
     if not np.isfinite(f):
         return t, u, f, "max-iterations", 0, np.inf, diag
@@ -122,8 +119,8 @@ def _newton_ascent(fam, A, w, t0, *, t0_index, tol, max_iter, margin):
     growth_run = 0
     status = "max-iterations"
     it = 0
-    for it in range(1, max_iter + 1):
-        grad, hess = _grad_hess(fam, A, w, u, t0_index)
+    for it in range(1, MAX_ITER + 1):
+        grad, hess = _grad_hess(fam, A, w, u)
         gnorm = float(abs(grad).max())
         if gnorm <= tol * (1.0 + abs(f)):
             # a vanishing gradient at an enormous iterate is the slow escape
@@ -142,8 +139,8 @@ def _newton_ascent(fam, A, w, t0, *, t0_index, tol, max_iter, margin):
         for halvings in range(60):
             cand = t + alpha * step
             ucand = A @ cand
-            if fam.strictly_feasible(ucand, margin=margin):
-                fc = _objective(fam, w, ucand, cand, t0_index)
+            if fam.strictly_feasible(ucand, margin=MARGIN):
+                fc = _objective(fam, w, ucand, cand)
                 if np.isfinite(fc) and fc >= f + 1e-4 * alpha * gts:
                     accepted = True
                     break
@@ -174,8 +171,8 @@ def _newton_ascent(fam, A, w, t0, *, t0_index, tol, max_iter, margin):
         if stalled:
             # the accepted step left t bitwise unchanged, below the rounding
             # floor of f: every later iteration would replay this one exactly
-            diag["backtracks"] += (max_iter - it) * halvings
-            it = max_iter
+            diag["backtracks"] += (MAX_ITER - it) * halvings
+            it = MAX_ITER
             break
     return t, u, f, status, it, gnorm, diag
 
@@ -195,7 +192,7 @@ def _dot_rows(a, b):
 
 
 def _objective_rows(fam, w, U, T):
-    """_objective (with t0_index 0) of every row of U and T."""
+    """_objective of every row of U and T."""
     vals = _psi_arr(fam.gamma, U)
     ok = np.isfinite(vals).all(axis=1)
     if ok.all():
@@ -207,8 +204,7 @@ def _objective_rows(fam, w, U, T):
 
 
 def _newton_ascent_stack(fam, A, w, t0):
-    """_newton_ascent (with t0_index 0 and the default TOL, MAX_ITER and
-    MARGIN) on K independent problems at once.
+    """_newton_ascent at the default TOL on K independent problems at once.
 
     A has shape (K, n, p) and t0 shape (K, p).  Every problem keeps its own
     active flag, Armijo step and backtracks, step-growth run, stall
@@ -392,11 +388,12 @@ def chi2_closed_form(model, sample, theta, A=None):
                         {"closed_form": True}, partial(_projection_weights, CHI2, w))
 
 
-def _shrink_feasible(fam, A, t, margin):
-    """Pull a candidate dual vector toward zero until strictly feasible."""
+def _shrink_feasible(fam, A, t):
+    """Pull a candidate dual vector toward zero until strictly feasible, with
+    a wider margin (1e-8) than the line search's MARGIN."""
     t = np.array(t, dtype=float)
     for _ in range(80):
-        if fam.strictly_feasible(A @ t, margin=max(margin, 1e-8)):
+        if fam.strictly_feasible(A @ t, margin=1e-8):
             return t
         t *= 0.5
     return np.zeros_like(t)
@@ -415,7 +412,7 @@ def _separated(A):
     return any(abs(v) == sums[0] for v in sums[1:])
 
 
-def _prepare(fam, model, sample, theta, init, margin):
+def _prepare(fam, model, sample, theta, init):
     """Per-theta set-up of solve_inner: (A, t0, None), or (None, None, sol)
     when the answer is known before Newton (a separated theta)."""
     theta = model.check_theta(theta)
@@ -426,11 +423,11 @@ def _prepare(fam, model, sample, theta, init, margin):
             np.zeros(dim), np.zeros(A.shape[0]), np.inf, "unbounded", 0, np.inf,
             {"ridge_used": False, "backtracks": 0})
     if init is not None:
-        t0 = _shrink_feasible(fam, A, np.asarray(init, dtype=float), margin)
+        t0 = _shrink_feasible(fam, A, np.asarray(init, dtype=float))
     else:
         try:
             ws = chi2_closed_form(model, sample, theta, A).t
-            t0 = _shrink_feasible(fam, A, ws, margin)
+            t0 = _shrink_feasible(fam, A, ws)
         except RankDeficiencyError:
             t0 = np.zeros(dim)
     return A, t0, None
@@ -443,21 +440,23 @@ def _solution(fam, w, t, u, f, status, iters, gnorm, diag):
     return DualSolution(t, u, f, status, iters, gnorm, diag, weights_of)
 
 
-def solve_inner(fam, model, sample, theta, init=None, tol=TOL,
-                max_iter=MAX_ITER, margin=MARGIN):
+def solve_inner(fam, model, sample, theta, init=None, tol=TOL):
     """Maximize the dual criterion at fixed theta.
 
-    Default initialization is the quadratic closed form shrunk into the
-    feasible region, falling back to t = 0 (always feasible).  For
-    gamma <= 1 a moment column of one strict sign (see _separated) returns
-    "unbounded" at once: t = 0, objective +inf, no Newton iteration.
+    Damped Newton from init (shrunk into the feasible region) or, by
+    default, from the quadratic closed form shrunk likewise, falling back to
+    t = 0 (always feasible).  It stops once the gradient is within
+    tol * (1 + |f|), or after MAX_ITER iterations; every trial point keeps
+    its psi arguments MARGIN inside dom psi.  For gamma <= 1 a moment column
+    of one strict sign (see _separated) returns "unbounded" at once: t = 0,
+    objective +inf, no Newton iteration.  Empirical likelihood is the
+    gamma = 0 (KLm) case.
     """
-    A, t0, sol = _prepare(fam, model, sample, theta, init, margin)
+    A, t0, sol = _prepare(fam, model, sample, theta, init)
     if sol is not None:
         return sol
     return _solution(fam, sample.weights, *_newton_ascent(
-        fam, A, sample.weights, t0, t0_index=0, tol=tol, max_iter=max_iter,
-        margin=margin))
+        fam, A, sample.weights, t0, tol))
 
 
 # Byte budget of the design tensor of one chunk of solve_inner_grid; the
@@ -481,16 +480,14 @@ def solve_inner_grid(fam, model, sample, thetas, init=None):
     w = sample.weights
     size = max(1, STACK_BYTES // (8 * sample.n * (model.l + 1)))
     for start in range(0, len(thetas), size):
-        prep = [_prepare(fam, model, sample, theta, init, MARGIN)
+        prep = [_prepare(fam, model, sample, theta, init)
                 for theta in thetas[start:start + size]]
         sols = [sol for _, _, sol in prep]
         todo = [i for i, sol in enumerate(sols) if sol is None]
         A, t0 = [prep[i][0] for i in todo], [prep[i][1] for i in todo]
         del prep
         if len(todo) == 1:
-            sols[todo[0]] = _solution(fam, w, *_newton_ascent(
-                fam, A[0], w, t0[0], t0_index=0, tol=TOL, max_iter=MAX_ITER,
-                margin=MARGIN))
+            sols[todo[0]] = _solution(fam, w, *_newton_ascent(fam, A[0], w, t0[0], TOL))
         elif todo:
             A, t0 = np.stack(A), np.stack(t0)
             for i, res in zip(todo, _newton_ascent_stack(fam, A, w, t0)):
@@ -504,30 +501,3 @@ def criterion_variance(fam, w, u, t0):
     m_vals = t0 - _psi_arr(fam.gamma, u)
     mbar = float(w @ m_vals)
     return float(w @ (m_vals ** 2) - mbar ** 2)
-
-
-def el_reduced_solve(model, sample, theta, tol=1e-9, max_iter=200):
-    """Reduced dual solve for the empirical-likelihood family.
-
-    Maximizes sum_i w_i log(1 + lam . g(X_i, theta)) over the vectors lam
-    with every log argument positive; the constant dual coordinate is known
-    to vanish for this family and is omitted.  The returned solution is in
-    the full-solver convention (t = (0, -lam)); the reduced vector itself is
-    available as diagnostics["reduced_t"].
-    """
-    theta = model.check_theta(theta)
-    g = model.g_values(sample.points, theta)
-    w = sample.weights
-    A = -g  # f(lam) = -sum w psi_KLm(-lam . g) = sum w log(1 + lam . g)
-    lam0 = np.zeros(model.l)
-    lam, _, f, status, iters, gnorm, diag = _newton_ascent(
-        KLM, A, w, lam0, t0_index=None, tol=tol, max_iter=max_iter, margin=1e-10)
-    t_full = np.concatenate([[0.0], -lam])
-    weights_of = None
-    if status in ("converged", "converged-boundary"):
-        weights = w / (1.0 + g @ lam)  # the reduced formula, not w psi'(u)
-        weights_of = lambda u: weights
-    diag = dict(diag)
-    diag["reduced_t"] = lam
-    u = _augmented(model, sample, theta) @ t_full
-    return DualSolution(t_full, u, f, status, iters, gnorm, diag, weights_of)

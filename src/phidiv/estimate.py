@@ -20,23 +20,25 @@ from functools import cached_property
 
 import numpy as np
 
-from .dual import (DualSolution, _augmented, chi2_closed_form,
+from .dual import (TOL, DualSolution, _augmented, chi2_closed_form,
                    criterion_variance, solve_inner)
 from .errors import EstimationError, RankDeficiencyError
-from .families import DivergenceFamily
-from .models import MomentModel, WeightedSample
+from .families import CHI2
 
 INF = float("inf")
 
 
 @dataclass(frozen=True)
 class EstimateOptions:
+    """Starts, the outer BFGS stop rule and cap, and the inner gradient
+    tolerance; the inner iteration cap and feasibility margin are the fixed
+    dual.MAX_ITER and dual.MARGIN."""
+
     n_starts: int = 5
     seed: int = 0
     outer_tol: float = 1e-8
     outer_max_iter: int = 100
-    inner_tol: float = 1e-9
-    inner_max_iter: int = 200
+    inner_tol: float = TOL
     theta0: tuple | None = None  # explicit extra start, overrides nothing else
 
 
@@ -80,16 +82,14 @@ class EstimationResult:
         return out
 
 
-def profile_objective(fam, model, sample, theta, init_t=None,
-                      inner_tol=1e-9, inner_max_iter=200):
+def profile_objective(fam, model, sample, theta, init_t=None, inner_tol=TOL):
     """Inner dual maximum at theta, with the inner solution.
 
     An inner solve that did not converge (stopped at the domain boundary,
     unbounded or stalled) yields +inf; the solution object carries the
     status, so the outer search can steer away without aborting.
     """
-    sol = solve_inner(fam, model, sample, theta, init=init_t,
-                      tol=inner_tol, max_iter=inner_max_iter)
+    sol = solve_inner(fam, model, sample, theta, init=init_t, tol=inner_tol)
     if sol.converged:
         return sol.objective, sol
     return INF, sol
@@ -134,7 +134,6 @@ def _pick_starts(model, sample, options):
     # refine the leading candidate against the quadratic profile, whose inner
     # problem is a closed-form linear solve; this lands every family's search
     # near the moment-type estimate, where the dual stays bounded
-    from .families import CHI2
     outcome, _ = _outer_minimize(CHI2, model, sample, lead, options)
     if outcome is not None:
         lead = outcome[0]
@@ -151,8 +150,7 @@ def _outer_minimize(fam, model, sample, theta0, options):
     lo, hi = model.theta_lo, model.theta_hi
     d = model.d
     theta = model.clip_theta(theta0)
-    val, sol = profile_objective(fam, model, sample, theta, None,
-                                 options.inner_tol, options.inner_max_iter)
+    val, sol = profile_objective(fam, model, sample, theta, None, options.inner_tol)
     if not np.isfinite(val):
         return None, {"start": theta.tolist(), "reason": f"infeasible start ({sol.status})"}
     grad = _envelope_grad(model, sample, theta, sol.weights, sol.t)
@@ -175,7 +173,7 @@ def _outer_minimize(fam, model, sample, theta0, options):
             if abs(s).max() < 1e-14 * (1.0 + abs(theta).max()):
                 break
             cval, csol = profile_objective(fam, model, sample, cand, sol.t,
-                                           options.inner_tol, options.inner_max_iter)
+                                           options.inner_tol)
             if cval <= val + 1e-4 * float(grad @ s):
                 accepted = True
                 break

@@ -165,8 +165,10 @@ def _psi_arr(g, t):
 
 
 def power_family(gamma):
-    """Power-divergence family with index gamma (any real)."""
+    """Power-divergence family with index gamma (any finite real)."""
     gamma = float(gamma)
+    if not math.isfinite(gamma):
+        raise ValueError(f"power index must be finite, got {gamma}")
     named = {0.0: "KLm", 1.0: "KL", 2.0: "chi2", -1.0: "chi2m", 0.5: "hellinger"}
     name = named.get(gamma, f"power:{gamma:g}")
     if gamma == 2.0:
@@ -210,23 +212,3 @@ def family(spec):
         except ValueError:
             pass
     raise ValueError(f"unknown divergence family: {spec!r}")
-
-
-def numeric_conjugate(fam, t, lo, hi, num=1001, refine=10):
-    """Grid maximization of x -> t*x - phi(x) over [lo, hi].
-
-    Independent oracle for the closed-form conjugate: repeatedly zooms a
-    uniform grid around the running argmax.  The caller must supply a bracket
-    [lo, hi] containing the maximizer.
-    """
-    g = fam.gamma
-    lo, hi = float(lo), float(hi)
-    best_x = None
-    for _ in range(refine):
-        xs = np.linspace(lo, hi, num)
-        vals = t * xs - _phi_arr(g, xs)
-        k = int(np.nanargmax(vals))
-        best_x = xs[k]
-        half = (hi - lo) / num * 2.0
-        lo, hi = best_x - half, best_x + half
-    return float(t * best_x - fam.phi(best_x))

@@ -102,6 +102,8 @@ class WeightedSample:
     def from_points(cls, points):
         pts = np.asarray(points, dtype=float)
         n = pts.shape[0]
+        if n == 0:
+            raise DataError("empty sample")
         return cls(pts, np.full(n, 1.0 / n))
 
 

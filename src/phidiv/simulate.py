@@ -25,6 +25,7 @@ from .models import WeightedSample, get_model
 
 DEFAULT_N_LIST = (50, 100, 200, 500)
 DEFAULT_RUNS = 1000
+DEFAULT_EPS_GRID = tuple(np.round(np.linspace(0.1, 1.0, 10), 10))
 MC_OPTIONS = EstimateOptions(n_starts=1, outer_tol=1e-7, outer_max_iter=60,
                              inner_tol=1e-8)
 
@@ -37,12 +38,14 @@ class SimulationPlan:
     n_list: tuple = DEFAULT_N_LIST
     runs: int = DEFAULT_RUNS
     alpha: float = 0.05
-    epsilon_grid: tuple = tuple(np.round(np.linspace(0.1, 1.0, 10), 10))
+    epsilon_grid: tuple = DEFAULT_EPS_GRID
     seed: int = 0
 
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if any(n < 1 for n in self.n_list):
+            raise ValueError("every sample size in n_list must be >= 1")
         if self.generator[0] not in ("uniform", "normal", "atoms"):
             raise ValueError(f"unknown generator {self.generator[0]!r}")
 
@@ -176,7 +179,7 @@ def reproduce_figure1(seed, out_path=None, family="KLm",
     of the worker count.
     """
     if epsilon_grid is None:
-        epsilon_grid = tuple(np.round(np.linspace(0.1, 1.0, 10), 10))
+        epsilon_grid = DEFAULT_EPS_GRID
     plan = SimulationPlan(("uniform", -1.0, 1.0), "mean-variance", family,
                           tuple(n_list), runs, alpha, tuple(epsilon_grid), seed)
     mc_rows = mc_power(plan, threads=threads)

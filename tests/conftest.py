@@ -2,9 +2,13 @@
 
 The oracles deliberately avoid the library's dual solver: the quadratic
 primal is solved as a linearly-constrained least-squares problem via
-Lagrange multipliers, and the general primal by brute-force grid search
-over the affine set of feasible weight vectors.
+Lagrange multipliers, the general primal by brute-force grid search over
+the affine set of feasible weight vectors, the empirical-likelihood dual in
+its reduced form by a Newton ascent of its own, and the conjugate by grid
+maximization.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -68,6 +72,75 @@ def primal_grid(fam, model, sample, theta, box=30.0, rounds=12):
         half = (hi - lo) / npts * 2.0
         lo, hi = best_c - half, best_c + half
     return best
+
+
+@dataclass
+class ReducedELSolution:
+    t: np.ndarray          # full-solver convention (0, -lam)
+    objective: float
+    converged: bool
+    weights: np.ndarray | None
+    diagnostics: dict      # "reduced_t": lam
+
+
+def el_reduced_solve(model, sample, theta, tol=1e-9, max_iter=200):
+    """Reduced dual of empirical likelihood (Owen, Empirical Likelihood,
+    2001, ch. 3): maximize sum_i w_i log(1 + lam . g_i) over the lam that
+    keep every 1 + lam . g_i positive.
+
+    Damped Newton with Armijo backtracking, numpy only; it stops once the
+    gradient is within tol * (1 + |f|) (at 1e-10 it stalls on rounding).
+    The projection weights are w_i / (1 + lam . g_i).  The full dual vector
+    is t = (0, -lam): its constant coordinate vanishes for this family.
+    """
+    g = model.g_values(sample.points, np.atleast_1d(np.asarray(theta, dtype=float)))
+    w = sample.weights
+    lam = np.zeros(g.shape[1])
+    f = 0.0
+    converged = False
+    for _ in range(max_iter):
+        z = 1.0 + g @ lam
+        grad = g.T @ (w / z)
+        if abs(grad).max() <= tol * (1.0 + abs(f)):
+            converged = True
+            break
+        info = (g * (w / z ** 2)[:, None]).T @ g  # minus the Hessian
+        step = np.linalg.solve(info, grad)
+        slope = float(grad @ step)
+        alpha = 1.0
+        for _ in range(60):
+            cand = lam + alpha * step
+            zc = 1.0 + g @ cand
+            if zc.min() > 0.0:
+                fc = float(w @ np.log(zc))
+                if fc >= f + 1e-4 * alpha * slope:
+                    break
+            alpha *= 0.5
+        else:
+            break  # no ascent step left
+        lam, f = cand, fc
+    weights = w / (1.0 + g @ lam) if converged else None
+    return ReducedELSolution(np.concatenate([[0.0], -lam]), f, converged,
+                             weights, {"reduced_t": lam})
+
+
+def numeric_conjugate(fam, t, lo, hi, num=1001, refine=10):
+    """Grid maximization of x -> t*x - phi(x) over [lo, hi].
+
+    Independent oracle for the closed-form conjugate: repeatedly zooms a
+    uniform grid around the running argmax.  The caller must supply a bracket
+    [lo, hi] containing the maximizer.
+    """
+    lo, hi = float(lo), float(hi)
+    best_x = None
+    for _ in range(refine):
+        xs = np.linspace(lo, hi, num)
+        vals = t * xs - fam.phi(xs)
+        k = int(np.nanargmax(vals))
+        best_x = xs[k]
+        half = (hi - lo) / num * 2.0
+        lo, hi = best_x - half, best_x + half
+    return float(t * best_x - fam.phi(best_x))
 
 
 def random_feasible_instance(rng, model_name="mean", n=4):

@@ -12,17 +12,17 @@ import numpy as np
 import pytest
 
 from phidiv import (CHI2, HELLINGER, KL, KLM, EstimateOptions, WeightedSample,
-                    chi2_closed_form, chi2_quantile, el_reduced_solve,
-                    estimate, get_model, power_approx, sample_size,
-                    sample_size_real, solve_inner)
+                    chi2_closed_form, chi2_quantile, estimate, get_model,
+                    power_approx, sample_size, sample_size_real, solve_inner)
 from phidiv import test_theta_composite as composite_test
 from phidiv import test_theta_simple as simple_test
 from phidiv.estimate import profile_gradient, profile_objective
-from phidiv.families import numeric_conjugate, power_family
+from phidiv.families import power_family
 from phidiv.simulate import (MC_OPTIONS, SimulationPlan, generate, mc_power,
                              reproduce_figure1)
 
-from conftest import primal_grid, primal_quadratic, random_feasible_instance
+from conftest import (el_reduced_solve, numeric_conjugate, primal_grid,
+                      primal_quadratic, random_feasible_instance)
 
 MEAN = get_model("mean")
 MV = get_model("mean-variance")

@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,31 @@ def test_bad_config_file_is_typed_error(capsys, data_csv, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--config", str(cfg), "test", "model", "--data", str(data_csv)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("spec", ["power:inf", "power:nan", "power:-inf"])
+@pytest.mark.parametrize("command", [
+    ("estimate", "--data", "{data}"),
+    ("simulate", "--figure1", "--runs", "2", "--n-list", "20", "--eps-grid", "0.3:0.6:2"),
+])
+def test_nonfinite_power_family_fails_like_an_unknown_one(capsys, data_csv, spec,
+                                                          command):
+    argv = [a.format(data=data_csv) for a in command]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning would raise
+        want = run(capsys, *argv, "--family", "bogus")
+        got = run(capsys, *argv, "--family", spec)
+        err = capsys.readouterr().err
+    assert (got[0], got[1]["kind"]) == (want[0], want[1]["kind"]) == (3, "numeric")
+    assert "unknown divergence family" in got[1]["error"]
+    assert err == ""
+
+
+@pytest.mark.parametrize("sizes", ["0", "50,0", "-5", "a,b", "1.5", ""])
+def test_bad_n_list_is_usage_error(capsys, sizes):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--figure1", "--runs", "2", "--n-list", sizes])
+    assert exc.value.code == 1
 
 
 def test_model_test_l_equals_d_is_numeric_error(capsys, data_csv):

@@ -4,12 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phidiv import (CHI2, CHI2M, HELLINGER, KL, KLM, RankDeficiencyError,
-                    WeightedSample, chi2_closed_form, el_reduced_solve, family,
-                    get_model, power_family, solve_inner)
+                    WeightedSample, chi2_closed_form, family, get_model,
+                    power_family, solve_inner)
 from phidiv import dual
 from phidiv.dual import _augmented, _grad_hess, _objective, solve_inner_grid
 
-from conftest import primal_grid, primal_quadratic, random_feasible_instance
+from conftest import (el_reduced_solve, primal_grid, primal_quadratic,
+                      random_feasible_instance)
 
 MEAN = get_model("mean")
 MV = get_model("mean-variance")
@@ -20,12 +21,12 @@ S012 = WeightedSample.from_points(np.array([0.0, 1.0, 2.0]))
 
 def objective_at(fam, model, sample, theta, t):
     A = _augmented(model, sample, np.atleast_1d(theta))
-    return _objective(fam, sample.weights, A @ t, t, t0_index=0)
+    return _objective(fam, sample.weights, A @ t, t)
 
 
 def grad_hess_at(fam, model, sample, theta, t):
     A = _augmented(model, sample, np.atleast_1d(theta))
-    return _grad_hess(fam, A, sample.weights, A @ t, t0_index=0)
+    return _grad_hess(fam, A, sample.weights, A @ t)
 
 
 def test_dual_objective_values():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from phidiv import (CHI2, CHI2M, HELLINGER, KL, KLM, DomainError, family,
                     power_family)
-from phidiv.families import numeric_conjugate
+
+from conftest import numeric_conjugate
 
 ALL = [KLM, KL, CHI2, CHI2M, HELLINGER]
 
@@ -149,6 +150,14 @@ def test_family_parser():
     assert family("power:3").name == "power:3"
     with pytest.raises(ValueError):
         family("nope")
+
+
+@pytest.mark.parametrize("spec", ["power:nan", "power:inf", "power:-inf"])
+def test_nonfinite_power_index_is_rejected(spec):
+    with pytest.raises(ValueError, match="finite"):
+        power_family(float(spec.split(":")[1]))
+    with pytest.raises(ValueError, match="unknown divergence family"):
+        family(spec)
 
 
 def test_generic_power_index():

@@ -5,13 +5,14 @@ import pytest
 
 from phidiv import (CHI2, KLM, EstimateOptions, EstimationError,
                     NotApplicableError, ParameterSpaceError, WeightedSample,
-                    chi2_quantile, confidence_region, el_reduced_solve,
-                    estimate, get_model, power_approx, sample_size,
-                    sample_size_real, solve_inner)
+                    chi2_quantile, confidence_region, estimate, get_model,
+                    power_approx, sample_size, sample_size_real, solve_inner)
 from phidiv import test_model as model_test
 from phidiv import test_theta_composite as composite_test
 from phidiv import test_theta_simple as simple_test
 from phidiv import dual, inference
+
+from conftest import el_reduced_solve
 
 MEAN = get_model("mean")
 MV = get_model("mean-variance")

@@ -62,6 +62,9 @@ def test_weighted_sample_validation():
         WeightedSample(np.array([1.0, 2.0]), np.array([1.5, -0.5]))
     with pytest.raises(DataError):
         WeightedSample(np.empty((0, 1)), np.empty(0))
+    for empty in ([], np.empty(0), np.empty((0, 2))):
+        with pytest.raises(DataError, match="empty sample"):
+            WeightedSample.from_points(empty)
     with pytest.raises(DataError, match="finite"):
         WeightedSample.from_points(np.array([1.0, np.nan, 3.0]))
     with pytest.raises(DataError, match="finite"):

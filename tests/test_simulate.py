@@ -14,6 +14,9 @@ def test_plan_validation():
         SimulationPlan(runs=0)
     with pytest.raises(ValueError):
         SimulationPlan(generator=("weird", 0.0, 1.0))
+    for n_list in ((0,), (50, 0), (-5,)):
+        with pytest.raises(ValueError, match="n_list"):
+            SimulationPlan(n_list=n_list)
     assert SMALL.cells() == [(0.3, 50), (0.8, 50)]
 
 
