@@ -54,19 +54,25 @@ def _parse_real(text):
     return value
 
 
+def _positive_int(text):
+    """Integer >= 1; anything else raises ValueError, which argparse reports
+    as a usage error."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"{text!r} is below 1")
+    return value
+
+
 def _parse_sizes(text):
-    """Comma separated sample sizes, each an integer >= 1; anything else
-    raises ValueError, which argparse reports as a usage error."""
-    sizes = tuple(int(v) for v in str(text).split(","))
-    if min(sizes) < 1:
-        raise ValueError("sample sizes must be >= 1")
-    return sizes
+    """Comma separated sample sizes, each an integer >= 1."""
+    return tuple(_positive_int(v) for v in str(text).split(","))
 
 
 def _parse_grid(spec):
+    """lo:hi:steps with at least one step; anything else is a DataError."""
     try:
         lo, hi, steps = spec.split(":")
-        return np.linspace(_parse_real(lo), _parse_real(hi), int(steps))
+        return np.linspace(_parse_real(lo), _parse_real(hi), _positive_int(steps))
     except ValueError:
         raise DataError(f"grid must be lo:hi:steps, got {spec!r}")
 
@@ -189,7 +195,7 @@ def _add_common_data_flags(p):
                    help="KLm | KL | chi2 | chi2m | hellinger | power:GAMMA")
     p.add_argument("--header", action="store_true", help="skip the first CSV row")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--starts", type=int, default=5)
+    p.add_argument("--starts", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write JSON result here")
     p.add_argument("--verbose", action="store_true")
@@ -239,7 +245,7 @@ def build_parser():
                    help="power curve table: MC versus analytic approximation")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--family", default="KLm")
-    p.add_argument("--runs", type=int, default=DEFAULT_RUNS)
+    p.add_argument("--runs", type=_positive_int, default=DEFAULT_RUNS)
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--eps-grid", default=None, help="lo:hi:steps")

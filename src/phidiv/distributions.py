@@ -85,6 +85,25 @@ def chi2_pdf(x, k):
                     - math.lgamma(a))
 
 
+def _solve_cdf(cdf, pdf, p, x, lo, hi, rtol):
+    """x with cdf(x) = p, from x inside the bracket (lo, hi): Newton steps,
+    bisection where Newton leaves the bracket or the density vanishes."""
+    for _ in range(200):
+        f = cdf(x) - p
+        if f > 0.0:
+            hi = x
+        else:
+            lo = x
+        dens = pdf(x)
+        xn = x - f / dens if dens > 0.0 else math.nan  # nan fails the test below
+        if not lo < xn < hi:
+            xn = 0.5 * (lo + hi)
+        if abs(xn - x) <= rtol * (1.0 + abs(x)):
+            return xn
+        x = xn
+    return x
+
+
 @lru_cache(maxsize=256)
 def chi2_quantile(p, k):
     """Quantile of the chi-square distribution with k degrees of freedom.
@@ -97,31 +116,14 @@ def chi2_quantile(p, k):
         raise ValueError("probability must lie in (0, 1)")
     if k < 1:
         raise ValueError("degrees of freedom must be >= 1")
-    # bracket, then bisection interleaved with Newton steps
     a = 0.5 * k  # chi2_cdf(x, k) = gamma_p(a, x / 2)
     lo, hi = 0.0, max(4.0 * k, 8.0)
     while gamma_p(a, 0.5 * hi) < p:
         hi *= 2.0
         if hi > 1e12:
             break
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        f = gamma_p(a, 0.5 * x) - p
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        dens = chi2_pdf(x, k)
-        if dens > 0.0:
-            xn = x - f / dens
-            if not lo < xn < hi:
-                xn = 0.5 * (lo + hi)
-        else:
-            xn = 0.5 * (lo + hi)
-        if abs(xn - x) <= 1e-13 * (1.0 + abs(x)):
-            return xn
-        x = xn
-    return x
+    return _solve_cdf(lambda x: gamma_p(a, 0.5 * x), lambda x: chi2_pdf(x, k), p,
+                      0.5 * (lo + hi), lo, hi, 1e-13)
 
 
 def normal_cdf(x):
@@ -139,22 +141,4 @@ def normal_quantile(p):
         raise ValueError("probability must lie in (0, 1)")
     if p == 0.5:
         return 0.0
-    lo, hi = -40.0, 40.0
-    x = 0.0
-    for _ in range(200):
-        f = normal_cdf(x) - p
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        dens = normal_pdf(x)
-        if dens > 0.0:
-            xn = x - f / dens
-            if not lo < xn < hi:
-                xn = 0.5 * (lo + hi)
-        else:
-            xn = 0.5 * (lo + hi)
-        if abs(xn - x) <= 1e-14 * (1.0 + abs(x)):
-            return xn
-        x = xn
-    return x
+    return _solve_cdf(normal_cdf, normal_pdf, p, 0.0, -40.0, 40.0, 1e-14)

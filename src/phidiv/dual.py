@@ -15,14 +15,13 @@ form used both on its own and as a warm start for every other family.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
 from .errors import RankDeficiencyError
-from .families import CHI2, _psi_arr
+from .families import CHI2, DivergenceFamily, _psi_arr
 
 OBJ_BOUND = 1e12        # objective beyond this: declare unbounded
 T_BOUND = 1e8           # dual vector beyond this: declare unbounded
@@ -41,8 +40,9 @@ class DualSolution:
     status: str            # converged | converged-boundary | unbounded | max-iterations
     iterations: int
     grad_norm: float
-    diagnostics: dict = field(default_factory=dict)
-    weights_of: Callable | None = field(default=None, repr=False)  # u -> weights
+    diagnostics: dict
+    fam: DivergenceFamily = field(repr=False)
+    w: np.ndarray = field(repr=False)  # the sample weights
 
     @property
     def converged(self):
@@ -50,9 +50,12 @@ class DualSolution:
 
     @property
     def weights(self):
-        """Projection weights Q_i, None unless the solve reached an optimum;
-        computed from u on each access, so a kept solution holds one n-vector."""
-        return None if self.weights_of is None else self.weights_of(self.u)
+        """Projection weights Q_i = w_i psi'(u_i), None unless the solve
+        reached an optimum; computed from u on each access, so a kept
+        solution holds one n-vector."""
+        if self.status in ("converged", "converged-boundary"):
+            return self.w * self.fam.psi_d1(self.u)
+        return None
 
     def to_dict(self):
         return {
@@ -63,11 +66,6 @@ class DualSolution:
             "grad_norm": float(self.grad_norm),
             **{k: v for k, v in self.diagnostics.items() if np.isscalar(v)},
         }
-
-
-def _projection_weights(fam, w, u):
-    """Q_i = w_i psi'(u_i), the weights of the projected measure."""
-    return w * fam.psi_d1(u)
 
 
 def _augmented(model, sample, theta):
@@ -97,75 +95,90 @@ def _grad_hess(fam, A, w, u):
     return grad, hess
 
 
-def _newton_ascent(fam, A, w, t0, tol):
-    """Damped Newton with backtracking kept strictly feasible, from t0 or,
-    when the criterion is not finite there, from t = 0.
+# The requests _newton yields, each answered with numbers that depend on A, w
+# and the family; see _newton's docstring for what each sends and receives.
+# The stacked driver answers the lowest pending kind first, which keeps its
+# problems in the lockstep of one Newton iteration: every backtracking trial
+# is answered before the next gradient.
+_EVAL, _TRIAL, _SOLVE, _GRAD = range(4)
+
+
+def _amax(v):
+    """max |v_i| of a short vector, without a numpy reduction.  _newton uses
+    the result only where v is finite (the step and iterate of an accepted
+    trial), and there it equals abs(v).max() exactly."""
+    return max(map(abs, v.tolist()))
+
+
+def _newton(t, tol):
+    """The damped Newton's rules, as a generator that never sees A, w or
+    the family.
+
+    Newton with backtracking kept strictly feasible, from t or, when the
+    criterion f is not finite there, from t = 0.  Every number that depends
+    on the problem is asked for by yielding (request, argument) and comes
+    back through send():
+
+      _EVAL   t                 -> (u = A t, f(t)); at the start, with no
+                                   feasibility test
+      _GRAD   u                 -> (grad, hess, max |grad|) at u = A t
+      _SOLVE  (hess, grad)      -> (step solving -hess step = grad, ridge
+                                   used, grad . step, step finite)
+      _TRIAL  (t, alpha, step)  -> (cand = t + alpha step, A cand, f(cand) or
+                                   None when A cand is not MARGIN inside
+                                   dom psi)
 
     Returns (t, A @ t, objective, status, iterations, grad_norm, diagnostics).
     """
-    t = np.array(t0, dtype=float)
-    u = A @ t
-    f = _objective(fam, w, u, t)
-    if not np.isfinite(f):  # t = 0 is feasible whenever the data are finite
+    u, f = yield _EVAL, t
+    if not math.isfinite(f):  # t = 0 is feasible whenever the data are finite
         t = np.zeros_like(t)
-        u = A @ t
-        f = _objective(fam, w, u, t)
+        u, f = yield _EVAL, t
     diag = {"ridge_used": False, "backtracks": 0}
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         return t, u, f, "max-iterations", 0, np.inf, diag
-    grad = np.zeros_like(t)
     gnorm = np.inf
-    prev_step = None
+    prev_step = 0.0  # no step yet: no growth
     growth_run = 0
     status = "max-iterations"
     it = 0
     for it in range(1, MAX_ITER + 1):
-        grad, hess = _grad_hess(fam, A, w, u)
-        gnorm = float(abs(grad).max())
+        grad, hess, gnorm = yield _GRAD, u
         if gnorm <= tol * (1.0 + abs(f)):
             # a vanishing gradient at an enormous iterate is the slow escape
             # of a log-type criterion toward its boundary, not an optimum
             status = "unbounded" if abs(t).max() > T_SOFT else "converged"
             break
-        step = _solve_psd(-hess, grad, diag)
-        gts = float(grad @ step)
-        if not np.isfinite(step).all() or gts <= 0.0:
+        step, ridge, gts, finite = yield _SOLVE, (hess, grad)
+        diag["ridge_used"] |= ridge
+        if not finite or gts <= 0.0:
             step = grad / max(1.0, gnorm)  # steepest-ascent fallback
             gts = float(grad @ step)
+        smax = _amax(step)
         alpha = 1.0
-        accepted = False
         blocked_by_domain = False
-        cand, ucand, fc = t, u, f
         for halvings in range(60):
-            cand = t + alpha * step
-            ucand = A @ cand
-            if fam.strictly_feasible(ucand, margin=MARGIN):
-                fc = _objective(fam, w, ucand, cand)
-                if np.isfinite(fc) and fc >= f + 1e-4 * alpha * gts:
-                    accepted = True
-                    break
-            else:
+            cand, ucand, fc = yield _TRIAL, (t, alpha, step)
+            if fc is None:
                 blocked_by_domain = True
+            elif math.isfinite(fc) and fc >= f + 1e-4 * alpha * gts:
+                break
+            del cand, ucand  # free the rejected A cand before the next trial
             diag["backtracks"] += 1
             alpha *= 0.5
-        if not accepted:
+        else:  # no trial accepted
             if gnorm <= 1e-6 * (1.0 + abs(f)):
                 status = "unbounded" if abs(t).max() > T_SOFT else "converged"
             elif blocked_by_domain:
                 status = "converged-boundary"
-            else:
-                status = "max-iterations"
             break
-        snorm = float(abs(alpha * step).max())
-        if prev_step is not None and snorm >= 10.0 * prev_step > 0.0:
-            growth_run += 1
-        else:
-            growth_run = 0
+        snorm = alpha * smax  # max |alpha step|, as alpha is a power of 2
+        growth_run = growth_run + 1 if snorm >= 10.0 * prev_step > 0.0 else 0
         prev_step = snorm
         # fc == f first: a step that makes progress pays one compare
         stalled = fc == f and (cand.view(np.uint64) == t.view(np.uint64)).all()
         t, u, f = cand, ucand, fc
-        if f > OBJ_BOUND or abs(t).max() > T_BOUND or growth_run >= STEP_GROWTH_RUNS:
+        if f > OBJ_BOUND or _amax(t) > T_BOUND or growth_run >= STEP_GROWTH_RUNS:
             status = "unbounded"
             break
         if stalled:
@@ -177,8 +190,37 @@ def _newton_ascent(fam, A, w, t0, tol):
     return t, u, f, status, it, gnorm, diag
 
 
-_STATUSES = ("converged", "converged-boundary", "unbounded", "max-iterations")
-_CONV, _BOUNDARY, _UNBOUNDED, _MAXIT = range(4)
+def _newton_ascent(fam, A, w, t0, tol):
+    """_newton on one problem, each request answered as it comes."""
+    gen = _newton(np.array(t0, dtype=float), tol)
+    request = next(gen)
+    try:
+        while True:
+            request = gen.send(_answer(fam, A, w, *request))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _answer(fam, A, w, kind, x):
+    """The reply to one request of _newton.  A function of its own, so that
+    no n-vector it makes stays bound while the next request is answered:
+    held in the driver's loop, they raised a solve's peak by one n-vector."""
+    if kind == _TRIAL:
+        t, alpha, step = x
+        cand = t + alpha * step
+        ucand = A @ cand
+        if fam.strictly_feasible(ucand, margin=MARGIN):
+            return cand, ucand, _objective(fam, w, ucand, cand)
+        return cand, ucand, None
+    if kind == _GRAD:
+        grad, hess = _grad_hess(fam, A, w, x)
+        return grad, hess, float(abs(grad).max())
+    if kind == _SOLVE:
+        hess, grad = x
+        step, ridge = _solve_psd(-hess, grad)
+        return step, ridge, float(grad @ step), np.isfinite(step).all()
+    u = A @ x
+    return u, _objective(fam, w, u, x)
 
 
 def _matvec(A, t):
@@ -204,165 +246,96 @@ def _objective_rows(fam, w, U, T):
 
 
 def _newton_ascent_stack(fam, A, w, t0):
-    """_newton_ascent at the default TOL on K independent problems at once.
+    """_newton at the default TOL on K independent problems at once.
 
-    A has shape (K, n, p) and t0 shape (K, p).  Every problem keeps its own
-    active flag, Armijo step and backtracks, step-growth run, stall
-    fast-forward, ridge flag and status, and each of its operations is the
-    BLAS or LAPACK call _newton_ascent makes on one slice (stacked matmul,
-    stacked solve, _solve_psd where the stacked solve fails), so every
-    result equals the scalar one bit for bit.  Returns one tuple
-    (t, u, objective, status, iterations, grad_norm, diagnostics) per problem.
+    A has shape (K, n, p) and t0 shape (K, p).  Each round answers, with one
+    stacked call, every pending request of the lowest kind: the BLAS or
+    LAPACK call _newton_ascent makes on one slice (stacked matmul, stacked
+    solve, _solve_psd where the stacked solve fails), so every result equals
+    _newton_ascent's bit for bit.  Returns one _newton result per problem;
+    their u share one (K, n) array.
     """
     K = A.shape[0]
     lo, hi = fam.interior(MARGIN)
-    t = np.array(t0, dtype=float)
-    u = _matvec(A, t)
-    f = _objective_rows(fam, w, u, t)
-    bad = ~np.isfinite(f)
-    if bad.any():  # t = 0 is feasible whenever the data are finite
-        t[bad] = 0.0
-        u[bad] = _matvec(A[bad], t[bad])
-        f[bad] = _objective_rows(fam, w, u[bad], t[bad])
-    status = np.full(K, _MAXIT)
-    iters = np.zeros(K, dtype=int)
-    gnorm = np.full(K, np.inf)
-    backtracks = np.zeros(K, dtype=int)
-    ridge = np.zeros(K, dtype=bool)
-    prev_step = np.full(K, np.nan)  # nan: no step yet
-    growth_run = np.zeros(K, dtype=int)
-    live = np.flatnonzero(np.isfinite(f))
-    A_live, u_live = (A, u) if live.size == K else (A[live], u[live])
 
-    def finish(done, codes, it):
-        # done: mask over live; the finished rows leave the stack
-        nonlocal live, A_live, u_live
-        idx = live[done]
-        status[idx], iters[idx], u[idx] = codes, it, u_live[done]
-        keep = ~done
-        live, A_live, u_live = live[keep], A_live[keep], u_live[keep]
+    def evaluate(Ak, ts):
+        T = np.array(ts)
+        U = _matvec(Ak, T)
+        return zip(U, _objective_rows(fam, w, U, T).tolist())
 
-    it = 0
-    for it in range(1, MAX_ITER + 1):
-        if not live.size:
-            break
-        t_l, f_l = t[live], f[live]
-        s1 = w * fam.psi_d1(u_live)
-        s2 = w * fam.psi_d2(u_live)
-        grad = -np.matmul(A_live.transpose(0, 2, 1), s1[:, :, None])[:, :, 0]
+    def grad_hess(Ak, us):
+        U = np.array(us)
+        s1 = w * fam.psi_d1(U)
+        grad = -np.matmul(Ak.transpose(0, 2, 1), s1[:, :, None])[:, :, 0]
         grad[:, 0] += 1.0
-        hess = -np.matmul((A_live * s2[:, :, None]).transpose(0, 2, 1), A_live)
-        del s1, s2
-        g_l = abs(grad).max(axis=1)
-        gnorm[live] = g_l
-        big = abs(t_l).max(axis=1) > T_SOFT
-        done = g_l <= TOL * (1.0 + abs(f_l))
-        if done.any():
-            # a vanishing gradient at an enormous iterate is the slow escape
-            # of a log-type criterion toward its boundary, not an optimum
-            finish(done, np.where(big[done], _UNBOUNDED, _CONV), it)
-            keep = ~done
-            t_l, f_l, g_l, big = t_l[keep], f_l[keep], g_l[keep], big[keep]
-            grad, hess = grad[keep], hess[keep]
-            if not live.size:
-                break
-        neg_h = -hess
+        s2 = w * fam.psi_d2(U)
+        del U, s1
+        hess = -np.matmul((Ak * s2[:, :, None]).transpose(0, 2, 1), Ak)
+        return zip(grad, hess, abs(grad).max(axis=1).tolist())
+
+    def solve(Ak, pairs):
+        neg_h = -np.array([h for h, _ in pairs])
+        grad = np.array([g for _, g in pairs])
+        ridge = [False] * len(pairs)
         try:  # _solve_psd's first attempt: + 0 * I turns -0.0 into 0.0 too
             step = np.linalg.solve(neg_h + 0.0 * np.eye(neg_h.shape[1]),
                                    grad[:, :, None])[:, :, 0]
             redo = np.flatnonzero(~np.isfinite(step).all(axis=1))
         except np.linalg.LinAlgError:  # some slice is singular
             step = np.empty_like(grad)
-            redo = range(live.size)
+            redo = range(len(pairs))
         for j in redo:  # _solve_psd repeats the plain solve, then adds a ridge
-            diag = {"ridge_used": False}
-            step[j] = _solve_psd(neg_h[j], grad[j], diag)
-            ridge[live[j]] |= diag["ridge_used"]
-        gts = _dot_rows(grad, step)
-        steep = ~np.isfinite(step).all(axis=1) | (gts <= 0.0)
-        if steep.any():  # steepest-ascent fallback, max(1, gnorm) as in Python
-            step[steep] = grad[steep] / np.where(g_l[steep] > 1.0, g_l[steep], 1.0)[:, None]
-            gts[steep] = _dot_rows(grad[steep], step[steep])
-        # backtracking: every problem still searching tries the same alpha
-        halvings = np.full(live.size, -1)
-        blocked = np.zeros(live.size, dtype=bool)
-        search = np.arange(live.size)
-        alpha = 1.0
-        for h in range(60):
-            cand = t_l[search] + alpha * step[search]
-            ucand = _matvec(A_live if h == 0 else A_live[search], cand)
-            feas = (ucand.min(axis=1) > lo) & (ucand.max(axis=1) < hi)
-            if feas.all():
-                fc = _objective_rows(fam, w, ucand, cand)
-            else:
-                fc = np.full(search.size, -np.inf)
-                if feas.any():
-                    fc[feas] = _objective_rows(fam, w, ucand[feas], cand[feas])
-            ok = np.isfinite(fc) & (fc >= f_l[search] + 1e-4 * alpha * gts[search])
-            if h == 0:
-                t_new, u_new, f_new = cand, ucand, fc
-            else:
-                acc = search[ok]
-                t_new[acc], u_new[acc], f_new[acc] = cand[ok], ucand[ok], fc[ok]
-            blocked[search[~feas]] = True
-            halvings[search[ok]] = h
-            search = search[~ok]
-            if not search.size:
-                break
-            alpha *= 0.5
-        del cand, ucand
-        rejected = halvings < 0
-        backtracks[live] += np.where(rejected, 60, halvings)
-        if rejected.any():
-            flat = g_l[rejected] <= 1e-6 * (1.0 + abs(f_l[rejected]))
-            codes = np.where(flat, np.where(big[rejected], _UNBOUNDED, _CONV),
-                             np.where(blocked[rejected], _BOUNDARY, _MAXIT))
-            finish(rejected, codes, it)
-            keep = ~rejected
-            t_l, f_l, step, halvings = t_l[keep], f_l[keep], step[keep], halvings[keep]
-            t_new, u_new, f_new = t_new[keep], u_new[keep], f_new[keep]
-            if not live.size:
-                break
-        alphas = np.ldexp(1.0, -halvings)  # 0.5 ** halvings, exactly
-        snorm = abs(alphas[:, None] * step).max(axis=1)
-        prev = prev_step[live]
-        grows = (snorm >= 10.0 * prev) & (10.0 * prev > 0.0)
-        growth_run[live] = np.where(grows, growth_run[live] + 1, 0)
-        prev_step[live] = snorm
-        # f_new == f_l first: a step that makes progress pays one compare
-        stalled = (f_new == f_l) & (t_new.view(np.uint64) == t_l.view(np.uint64)).all(axis=1)
-        t[live], f[live], u_live = t_new, f_new, u_new
-        unb = ((f_new > OBJ_BOUND) | (abs(t_new).max(axis=1) > T_BOUND)
-               | (growth_run[live] >= STEP_GROWTH_RUNS))
-        stalled &= ~unb
-        if stalled.any():
-            # the accepted step left t bitwise unchanged, below the rounding
-            # floor of f: every later iteration would replay this one exactly
-            backtracks[live[stalled]] += (MAX_ITER - it) * halvings[stalled]
-        ended = unb | stalled
-        if ended.any():
-            finish(ended, np.where(unb, _UNBOUNDED, _MAXIT)[ended],
-                   np.where(unb, it, MAX_ITER)[ended])
-    if live.size:
-        u[live] = u_live
-        iters[live] = it
-    return [(t[k], u[k], float(f[k]), _STATUSES[status[k]], int(iters[k]),
-             float(gnorm[k]), {"ridge_used": bool(ridge[k]), "backtracks": int(backtracks[k])})
-            for k in range(K)]
+            step[j], ridge[j] = _solve_psd(neg_h[j], grad[j])
+        return zip(step, ridge, _dot_rows(grad, step).tolist(),
+                   np.isfinite(step).all(axis=1).tolist())
+
+    def trial(Ak, reqs):
+        alpha = np.array([a for _, a, _ in reqs])[:, None]
+        cand = np.array([t for t, _, _ in reqs]) + alpha * np.array([s for _, _, s in reqs])
+        ucand = _matvec(Ak, cand)
+        feas = (ucand.min(axis=1) > lo) & (ucand.max(axis=1) < hi)
+        fc = np.full(len(reqs), -np.inf)
+        if feas.any():
+            fc[feas] = _objective_rows(fam, w, ucand[feas], cand[feas])
+        fc = [v if ok else None for v, ok in zip(fc.tolist(), feas.tolist())]
+        return zip(cand, ucand, fc)
+
+    answer = (evaluate, trial, solve, grad_hess)  # indexed by request kind
+    gens = [_newton(t, TOL) for t in np.array(t0, dtype=float)]
+    requests = [next(gen) for gen in gens]
+    results = [None] * K
+    live, A_live = list(range(K)), A
+    while live:
+        kind = min(requests[k][0] for k in live)
+        ks = [k for k in live if requests[k][0] == kind]
+        replies = answer[kind](A_live if len(ks) == len(live) else A[ks],
+                               [requests[k][1] for k in ks])
+        finished = False
+        for k, reply in zip(ks, replies):
+            try:
+                requests[k] = gens[k].send(reply)
+            except StopIteration as stop:
+                results[k], finished = stop.value, True
+        if finished:
+            live = [k for k in live if results[k] is None]
+            A_live = A[live]
+    u = np.array([res[1] for res in results])
+    return [(t, u[k], *rest) for k, (t, _, *rest) in enumerate(results)]
 
 
-def _solve_psd(neg_h, grad, diag):
+def _solve_psd(neg_h, grad):
+    """Solve neg_h step = grad, adding a growing ridge when the plain solve
+    fails; returns (step, ridge used), step all nan when every try failed."""
     ridge = 0.0
     for attempt in range(3):
         try:
             step = np.linalg.solve(neg_h + ridge * np.eye(neg_h.shape[0]), grad)
             if np.isfinite(step).all():
-                return step
+                return step, attempt > 0
         except np.linalg.LinAlgError:
             pass
         ridge = max(1e-12 * np.trace(neg_h), 1e-300) * 10.0 ** attempt
-        diag["ridge_used"] = True
-    return np.full_like(grad, np.nan)
+    return np.full_like(grad, np.nan), True
 
 
 def chi2_closed_form(model, sample, theta, A=None):
@@ -385,7 +358,7 @@ def chi2_closed_form(model, sample, theta, A=None):
     obj = float(t[0] - w @ _psi_arr(2.0, u))
     grad = rhs - gram @ t
     return DualSolution(t, u, obj, "converged", 1, float(abs(grad).max()),
-                        {"closed_form": True}, partial(_projection_weights, CHI2, w))
+                        {"closed_form": True}, CHI2, w)
 
 
 def _shrink_feasible(fam, A, t):
@@ -421,7 +394,7 @@ def _prepare(fam, model, sample, theta, init):
     if fam.gamma <= 1.0 and _separated(A):
         return None, None, DualSolution(
             np.zeros(dim), np.zeros(A.shape[0]), np.inf, "unbounded", 0, np.inf,
-            {"ridge_used": False, "backtracks": 0})
+            {"ridge_used": False, "backtracks": 0}, fam, sample.weights)
     if init is not None:
         t0 = _shrink_feasible(fam, A, np.asarray(init, dtype=float))
     else:
@@ -431,13 +404,6 @@ def _prepare(fam, model, sample, theta, init):
         except RankDeficiencyError:
             t0 = np.zeros(dim)
     return A, t0, None
-
-
-def _solution(fam, w, t, u, f, status, iters, gnorm, diag):
-    weights_of = None
-    if status in ("converged", "converged-boundary"):
-        weights_of = partial(_projection_weights, fam, w)
-    return DualSolution(t, u, f, status, iters, gnorm, diag, weights_of)
 
 
 def solve_inner(fam, model, sample, theta, init=None, tol=TOL):
@@ -455,8 +421,8 @@ def solve_inner(fam, model, sample, theta, init=None, tol=TOL):
     A, t0, sol = _prepare(fam, model, sample, theta, init)
     if sol is not None:
         return sol
-    return _solution(fam, sample.weights, *_newton_ascent(
-        fam, A, sample.weights, t0, tol))
+    w = sample.weights
+    return DualSolution(*_newton_ascent(fam, A, w, t0, tol), fam, w)
 
 
 # Byte budget of the design tensor of one chunk of solve_inner_grid; the
@@ -471,8 +437,8 @@ def solve_inner_grid(fam, model, sample, thetas, init=None):
 
     The problems are independent, so they are set up one by one as in
     solve_inner (the same errors in the same order) and solved in chunks of
-    at most STACK_BYTES of design tensor by one stacked Newton; a problem
-    larger than the budget, or alone in its chunk, runs the scalar Newton,
+    at most STACK_BYTES of design tensor by _newton_ascent_stack; a problem
+    larger than the budget, or alone in its chunk, goes to _newton_ascent,
     which is faster for a single problem.  Each yielded solution equals
     solve_inner(fam, model, sample, theta, init) bit for bit; the solutions
     of a chunk share one array for their u.
@@ -487,11 +453,11 @@ def solve_inner_grid(fam, model, sample, thetas, init=None):
         A, t0 = [prep[i][0] for i in todo], [prep[i][1] for i in todo]
         del prep
         if len(todo) == 1:
-            sols[todo[0]] = _solution(fam, w, *_newton_ascent(fam, A[0], w, t0[0], TOL))
+            sols[todo[0]] = DualSolution(*_newton_ascent(fam, A[0], w, t0[0], TOL), fam, w)
         elif todo:
             A, t0 = np.stack(A), np.stack(t0)
             for i, res in zip(todo, _newton_ascent_stack(fam, A, w, t0)):
-                sols[i] = _solution(fam, w, *res)
+                sols[i] = DualSolution(*res, fam, w)
         del A
         yield from sols
 

@@ -174,11 +174,35 @@ def test_confidence_interval_json(capsys, data_csv):
 
 
 def test_confidence_empty_grid(capsys, data_csv):
-    code, payload = run(capsys, "confidence", "--data", str(data_csv),
-                        "--grid", "0.1:0.9:0", "--family", "KLm")
-    assert code == 0
-    assert payload["empty"] is True and payload["points"] == []
-    assert "interval" not in payload
+    # a grid of no point tries no theta, so it cannot answer "empty"
+    for steps in ("0", "-3"):
+        code, payload = run(capsys, "confidence", "--data", str(data_csv),
+                            "--grid", f"0.1:0.9:{steps}", "--family", "KLm")
+        assert code == 2
+        assert payload == {"error": f"grid must be lo:hi:steps, got '0.1:0.9:{steps}'",
+                           "kind": "io"}
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_simulate_empty_eps_grid_is_io_error(capsys, steps):
+    code, payload = run(capsys, "simulate", "--figure1", "--runs", "2", "--n-list", "20",
+                        "--eps-grid", f"0.1:0.9:{steps}")
+    assert code == 2
+    assert payload["kind"] == "io"
+
+
+@pytest.mark.parametrize("starts", ["0", "-3", "1.5"])
+def test_bad_starts_is_usage_error(capsys, data_csv, starts):
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--data", str(data_csv), "--starts", starts])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("runs", ["0", "-3", "1.5"])
+def test_bad_runs_is_usage_error(capsys, runs):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--figure1", "--runs", runs, "--n-list", "20"])
+    assert exc.value.code == 1
 
 
 def test_out_file_written(capsys, data_csv, tmp_path):

@@ -265,7 +265,7 @@ def solution_bits(sol):
     """Everything solve_inner returns, as bytes: equal keys are bit for bit."""
     return (sol.t.tobytes(), sol.u.tobytes(), float(sol.objective).hex(), sol.status,
             sol.iterations, float(sol.grad_norm).hex(), sol.diagnostics["backtracks"],
-            sol.diagnostics["ridge_used"], sol.weights_of is None)
+            sol.diagnostics["ridge_used"], sol.weights is None)
 
 
 def grid_case(gamma, model_name, n, seed, ties, warm, npts):
