@@ -222,14 +222,14 @@ def build_parser():
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("power", help="analytic power approximation")
-    for name, typ in (("--n", int), ("--alpha", float), ("--df", int),
+    for name, typ in (("--n", _positive_int), ("--alpha", float), ("--df", _positive_int),
                       ("--div", float), ("--sigma", float)):
         p.add_argument(name, type=typ, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("samplesize", help="sample size for a target power")
-    for name, typ in (("--beta", float), ("--alpha", float), ("--df", int),
+    for name, typ in (("--beta", float), ("--alpha", float), ("--df", _positive_int),
                       ("--div", float), ("--sigma", float)):
         p.add_argument(name, type=typ, required=True)
     p.add_argument("--out", default=None)
@@ -247,7 +247,7 @@ def build_parser():
     p.add_argument("--family", default="KLm")
     p.add_argument("--runs", type=_positive_int, default=DEFAULT_RUNS)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--eps-grid", default=None, help="lo:hi:steps")
     p.add_argument("--n-list", type=_parse_sizes, default=DEFAULT_N_LIST,
                    help="comma separated sample sizes")

@@ -245,15 +245,15 @@ def _objective_rows(fam, w, U, T):
     return f
 
 
-def _newton_ascent_stack(fam, A, w, t0):
-    """_newton at the default TOL on K independent problems at once.
+def _newton_ascent_stack(fam, A, w, t0, tol):
+    """_newton on K independent problems at once.
 
     A has shape (K, n, p) and t0 shape (K, p).  Each round answers, with one
     stacked call, every pending request of the lowest kind: the BLAS or
     LAPACK call _newton_ascent makes on one slice (stacked matmul, stacked
     solve, _solve_psd where the stacked solve fails), so every result equals
-    _newton_ascent's bit for bit.  Returns one _newton result per problem;
-    their u share one (K, n) array.
+    _newton_ascent's bit for bit.  Returns one _newton result per problem,
+    each with a u of its own.
     """
     K = A.shape[0]
     lo, hi = fam.interior(MARGIN)
@@ -301,7 +301,7 @@ def _newton_ascent_stack(fam, A, w, t0):
         return zip(cand, ucand, fc)
 
     answer = (evaluate, trial, solve, grad_hess)  # indexed by request kind
-    gens = [_newton(t, TOL) for t in np.array(t0, dtype=float)]
+    gens = [_newton(t, tol) for t in np.array(t0, dtype=float)]
     requests = [next(gen) for gen in gens]
     results = [None] * K
     live, A_live = list(range(K)), A
@@ -319,8 +319,9 @@ def _newton_ascent_stack(fam, A, w, t0):
         if finished:
             live = [k for k in live if results[k] is None]
             A_live = A[live]
-    u = np.array([res[1] for res in results])
-    return [(t, u[k], *rest) for k, (t, _, *rest) in enumerate(results)]
+    # a copy: an accepted u is a row of its trial's stacked array, which a
+    # kept solution would otherwise hold whole
+    return [(t, np.array(u), *rest) for t, u, *rest in results]
 
 
 def _solve_psd(neg_h, grad):
@@ -359,6 +360,51 @@ def chi2_closed_form(model, sample, theta, A=None):
     grad = rhs - gram @ t
     return DualSolution(t, u, obj, "converged", 1, float(abs(grad).max()),
                         {"closed_form": True}, CHI2, w)
+
+
+def chi2_objectives(model, problems):
+    """chi2_closed_form(model, sample, theta).objective for every (sample,
+    theta) of problems, whose samples hold one weight vector, or the error
+    it raises, in order.
+
+    Each chunk of at most STACK_BYTES of design tensor is solved by stacked
+    matmul, eigh and solve, which make on every slice the BLAS or LAPACK
+    call of chi2_closed_form, so each value is its bits.  A slice the stack
+    does not settle (a singular Gram matrix, a failed LAPACK call) goes to
+    chi2_closed_form alone, for its error.
+    """
+    out = []
+    for chunk in _chunks(model, problems):
+        w = chunk[0][0].weights
+        designs, todo = [], []
+        for sample, theta in chunk:
+            try:
+                designs.append(_augmented(model, sample, model.check_theta(theta)))
+                todo.append((len(out), sample))
+                out.append(None)
+            except Exception as exc:  # handed to the caller in place of the value
+                out.append(exc)
+        if not designs:
+            continue
+        A = np.stack(designs)
+        try:
+            gram = np.matmul((A * w[:, None]).transpose(0, 2, 1), A)
+            rhs = -np.matmul(A.transpose(0, 2, 1), w[:, None])[:, :, 0]
+            rhs[:, 0] += 1.0
+            evals = np.linalg.eigh(gram)[0]
+            ok = ~(evals[:, 0] <= 1e-12 * np.maximum(evals[:, -1], 1.0))
+            t = np.linalg.solve(gram[ok], rhs[ok][:, :, None])[:, :, 0]
+            vals = _psi_arr(2.0, _matvec(A[ok], t))
+            obj = iter((t[:, 0] - np.matmul(vals[:, None, :], w[:, None])[:, 0, 0]).tolist())
+        except np.linalg.LinAlgError:
+            ok = np.zeros(len(A), dtype=bool)
+        for (i, sample), a, settled in zip(todo, A, ok.tolist()):
+            try:
+                out[i] = next(obj) if settled else \
+                    chi2_closed_form(model, sample, None, a).objective
+            except Exception as exc:  # as above
+                out[i] = exc
+    return out
 
 
 def _shrink_feasible(fam, A, t):
@@ -425,41 +471,69 @@ def solve_inner(fam, model, sample, theta, init=None, tol=TOL):
     return DualSolution(*_newton_ascent(fam, A, w, t0, tol), fam, w)
 
 
-# Byte budget of the design tensor of one chunk of solve_inner_grid; the
-# other stacked arrays are a fixed multiple of it.  At n = 200 and l = 2 a
-# chunk holds 13 problems: twice that ran no faster per problem and raised
-# the peak resident memory of a confidence scan by 2 % instead of 1 %.
+# Byte budget of the design tensor of one stacked call (solve_inner_many,
+# chi2_objectives) and of one lockstep batch of fits; the other stacked
+# arrays are a fixed multiple of it.  At n = 200 and l = 2 a stack holds 13
+# problems: twice that ran no faster per problem and raised the peak
+# resident memory of a confidence scan by 2 % instead of 1 %.
 STACK_BYTES = 1 << 16
 
 
-def solve_inner_grid(fam, model, sample, thetas, init=None):
-    """solve_inner at every theta of a grid, yielded in order.
+def stack_size(model, n):
+    """Problems of n points in a stack of STACK_BYTES of design tensor, and
+    at least one."""
+    return max(1, STACK_BYTES // (8 * n * (model.l + 1)))
 
-    The problems are independent, so they are set up one by one as in
-    solve_inner (the same errors in the same order) and solved in chunks of
-    at most STACK_BYTES of design tensor by _newton_ascent_stack; a problem
-    larger than the budget, or alone in its chunk, goes to _newton_ascent,
-    which is faster for a single problem.  Each yielded solution equals
-    solve_inner(fam, model, sample, theta, init) bit for bit; the solutions
-    of a chunk share one array for their u.
+
+def _chunks(model, problems):
+    """problems, (sample, ...) tuples of one sample size, in consecutive
+    stacks of stack_size."""
+    size = stack_size(model, problems[0][0].n) if problems else 1
+    return [problems[i:i + size] for i in range(0, len(problems), size)]
+
+
+def solve_inner_many(fam, model, problems, tol=TOL):
+    """solve_inner(fam, model, sample, theta, init, tol) for every (sample,
+    theta, init) of problems, whose samples hold one weight vector, yielded
+    in order; where solve_inner raises, its error is yielded instead, so
+    that one problem's error stops no other.
+
+    The problems are set up one by one as in solve_inner and solved in
+    chunks of at most STACK_BYTES of design tensor by _newton_ascent_stack;
+    a problem alone in its chunk goes to _newton_ascent, which is faster
+    for a single problem.  Each solution equals solve_inner's bit for bit.
     """
-    w = sample.weights
-    size = max(1, STACK_BYTES // (8 * sample.n * (model.l + 1)))
-    for start in range(0, len(thetas), size):
-        prep = [_prepare(fam, model, sample, theta, init)
-                for theta in thetas[start:start + size]]
-        sols = [sol for _, _, sol in prep]
-        todo = [i for i, sol in enumerate(sols) if sol is None]
-        A, t0 = [prep[i][0] for i in todo], [prep[i][1] for i in todo]
-        del prep
+    for chunk in _chunks(model, problems):
+        w = chunk[0][0].weights
+        sols, todo, A, t0 = [], [], [], []
+        for sample, theta, init in chunk:
+            try:
+                a, t, sol = _prepare(fam, model, sample, theta, init)
+            except Exception as exc:  # handed to the caller in place of the solution
+                a, t, sol = None, None, exc
+            if sol is None:
+                todo.append(len(sols))
+                A.append(a)
+                t0.append(t)
+            sols.append(sol)
+        del a
         if len(todo) == 1:
-            sols[todo[0]] = DualSolution(*_newton_ascent(fam, A[0], w, t0[0], TOL), fam, w)
+            sols[todo[0]] = DualSolution(*_newton_ascent(fam, A[0], w, t0[0], tol), fam, w)
         elif todo:
             A, t0 = np.stack(A), np.stack(t0)
-            for i, res in zip(todo, _newton_ascent_stack(fam, A, w, t0)):
+            for i, res in zip(todo, _newton_ascent_stack(fam, A, w, t0, tol)):
                 sols[i] = DualSolution(*res, fam, w)
         del A
         yield from sols
+
+
+def solve_inner_grid(fam, model, sample, thetas, init=None):
+    """solve_inner at every theta of a grid, yielded in order: solve_inner_many
+    on one repeated sample, raising the first error solve_inner raises."""
+    for sol in solve_inner_many(fam, model, [(sample, theta, init) for theta in thetas]):
+        if isinstance(sol, Exception):
+            raise sol
+        yield sol
 
 
 def criterion_variance(fam, w, u, t0):

@@ -21,8 +21,9 @@ from functools import cached_property
 import numpy as np
 
 from .dual import (TOL, DualSolution, _augmented, chi2_closed_form,
-                   criterion_variance, solve_inner)
-from .errors import EstimationError, RankDeficiencyError
+                   chi2_objectives, criterion_variance, solve_inner,
+                   solve_inner_many, stack_size)
+from .errors import EstimationError, PhidivError, RankDeficiencyError
 from .families import CHI2
 
 INF = float("inf")
@@ -89,10 +90,11 @@ def profile_objective(fam, model, sample, theta, init_t=None, inner_tol=TOL):
     unbounded or stalled) yields +inf; the solution object carries the
     status, so the outer search can steer away without aborting.
     """
-    sol = solve_inner(fam, model, sample, theta, init=init_t, tol=inner_tol)
-    if sol.converged:
-        return sol.objective, sol
-    return INF, sol
+    return _profile(solve_inner(fam, model, sample, theta, init=init_t, tol=inner_tol))
+
+
+def _profile(sol):
+    return (sol.objective if sol.converged else INF), sol
 
 
 def profile_gradient(fam, model, sample, theta, inner):
@@ -118,23 +120,26 @@ def _latin_hypercube(rng, n, lo, hi):
     return pts
 
 
+# The requests _fit yields, and what each is answered with:
+#   _POOL   thetas                   -> per theta, chi2_closed_form's objective,
+#                                       inf where it raises RankDeficiencyError
+#   _SOLVE  (fam, theta, init, tol)  -> profile_objective(fam, model, sample,
+#                                       theta, init, tol)
+_POOL, _SOLVE = range(2)
+
+
 def _pick_starts(model, sample, options):
     rng = np.random.Generator(np.random.PCG64(options.seed))
     lo, hi = model.theta_lo, model.theta_hi
     pool = _latin_hypercube(rng, max(8, 2 * options.n_starts), lo, hi)
     # moment-style start: the candidate with the smallest quadratic profile
-    scores = []
-    for theta in pool:
-        try:
-            scores.append(chi2_closed_form(model, sample, theta).objective)
-        except RankDeficiencyError:
-            scores.append(INF)
+    scores = yield _POOL, pool
     order = np.argsort(scores, kind="stable")
     lead = pool[order[0]]
     # refine the leading candidate against the quadratic profile, whose inner
     # problem is a closed-form linear solve; this lands every family's search
     # near the moment-type estimate, where the dual stays bounded
-    outcome, _ = _outer_minimize(CHI2, model, sample, lead, options)
+    outcome, _ = yield from _outer_minimize(CHI2, model, sample, lead, options)
     if outcome is not None:
         lead = outcome[0]
     starts = []
@@ -150,7 +155,7 @@ def _outer_minimize(fam, model, sample, theta0, options):
     lo, hi = model.theta_lo, model.theta_hi
     d = model.d
     theta = model.clip_theta(theta0)
-    val, sol = profile_objective(fam, model, sample, theta, None, options.inner_tol)
+    val, sol = yield _SOLVE, (fam, theta, None, options.inner_tol)
     if not np.isfinite(val):
         return None, {"start": theta.tolist(), "reason": f"infeasible start ({sol.status})"}
     grad = _envelope_grad(model, sample, theta, sol.weights, sol.t)
@@ -172,8 +177,7 @@ def _outer_minimize(fam, model, sample, theta0, options):
             s = cand - theta
             if abs(s).max() < 1e-14 * (1.0 + abs(theta).max()):
                 break
-            cval, csol = profile_objective(fam, model, sample, cand, sol.t,
-                                           options.inner_tol)
+            cval, csol = yield _SOLVE, (fam, cand, sol.t, options.inner_tol)
             if cval <= val + 1e-4 * float(grad @ s):
                 accepted = True
                 break
@@ -256,16 +260,18 @@ def variance_blocks(fam, model, sample, theta, t):
     return v, sigma2, s_mat, m_mat, w_mat
 
 
-def estimate(fam, model, sample, options=None):
-    """Full minimum-divergence estimation: parameter, divergence, variances."""
-    options = options or EstimateOptions()
+def _fit(fam, model, sample, options):
+    """estimate's work, as a generator that asks for every inner solve and
+    start-pool score by yielding a request (see _POOL and _SOLVE) and
+    returns the EstimationResult."""
     if sample.n <= model.l:
         raise EstimationError(
             f"need more observations ({sample.n}) than moment functions ({model.l})")
     best = None
     per_start = []
-    for idx, start in enumerate(_pick_starts(model, sample, options)):
-        outcome, diag = _outer_minimize(fam, model, sample, start, options)
+    starts = yield from _pick_starts(model, sample, options)
+    for idx, start in enumerate(starts):
+        outcome, diag = yield from _outer_minimize(fam, model, sample, start, options)
         diag["index"] = idx
         per_start.append(diag)
         if outcome is not None and (best is None or outcome[1] < best[1]):
@@ -279,3 +285,94 @@ def estimate(fam, model, sample, options=None):
     return EstimationResult(theta, sol.t, val, sigma2, sol, diagnostics,
                             (fam, model, sample))
 
+
+def _score(model, sample, theta):
+    try:
+        return chi2_closed_form(model, sample, theta).objective
+    except RankDeficiencyError:
+        return INF
+
+
+def estimate(fam, model, sample, options=None):
+    """Full minimum-divergence estimation: parameter, divergence, variances."""
+    fit = _fit(fam, model, sample, options or EstimateOptions())
+    reply = None
+    try:
+        while True:
+            kind, x = fit.send(reply)
+            if kind == _POOL:
+                reply = [_score(model, sample, theta) for theta in x]
+            else:
+                reply = profile_objective(x[0], model, sample, *x[1:])
+    except StopIteration as stop:
+        return stop.value
+
+
+def estimate_many(fam, model, samples, options=None):
+    """estimate on every sample of an iterable, yielded in order: its
+    EstimationResult, or the PhidivError estimate raises; each bit for bit.
+
+    Consecutive samples of bitwise equal weights (all samples of one size
+    from WeightedSample.from_points) are fitted in lockstep, in batches of
+    dual.stack_size; see _lockstep.
+    """
+    options = options or EstimateOptions()
+    batch = []
+    for sample in samples:
+        if batch and (len(batch) == stack_size(model, sample.n)
+                      or sample.weights.tobytes() != batch[0].weights.tobytes()):
+            yield from _lockstep(fam, model, batch, options)
+            batch = []
+        batch.append(sample)
+    if batch:
+        yield from _lockstep(fam, model, batch, options)
+
+
+def _lockstep(fam, model, samples, options):
+    """One _fit generator per sample, all answered together: each round
+    takes every pending request of one kind (a start pool, or the inner
+    solves of one family and tolerance) and answers it with one stacked
+    call, chi2_objectives or solve_inner_many.  The kinds go in the order
+    they first appeared, which keeps the fits in step: every start pool,
+    then the quadratic search, then the fit proper.  An error raised in
+    answering one fit is thrown into its generator, as estimate would have
+    raised it there.  Returns the results in order."""
+    out = [None] * len(samples)
+    fits = [_fit(fam, model, sample, options) for sample in samples]
+    pending, rank = {}, {}
+
+    def advance(i, reply=None, error=None):
+        try:
+            pending[i] = fits[i].send(reply) if error is None else fits[i].throw(error)
+        except StopIteration as stop:
+            out[i] = stop.value
+        except PhidivError as exc:
+            out[i] = exc
+
+    for i in range(len(samples)):
+        advance(i)
+    while pending:
+        keys = {i: (kind,) if kind == _POOL else (kind, x[0], x[3])
+                for i, (kind, x) in pending.items()}
+        for k in keys.values():
+            rank.setdefault(k, len(rank))
+        first = min(keys.values(), key=rank.__getitem__)
+        ids = [i for i, k in keys.items() if k == first]
+        xs = [pending.pop(i)[1] for i in ids]
+        if first[0] == _POOL:
+            flat = iter(chi2_objectives(model, [(samples[i], theta) for i, thetas in
+                                                zip(ids, xs) for theta in thetas]))
+            for i, thetas in zip(ids, xs):
+                scores = [next(flat) for _ in thetas]
+                error = next((v for v in scores if isinstance(v, Exception)
+                              and not isinstance(v, RankDeficiencyError)), None)
+                advance(i, [INF if isinstance(v, Exception) else v for v in scores], error)
+        else:
+            sols = solve_inner_many(first[1], model, [(samples[i], x[1], x[2]) for i, x
+                                                      in zip(ids, xs)], first[2])
+            for i, sol in zip(ids, sols):
+                if isinstance(sol, Exception):
+                    advance(i, error=sol)
+                else:
+                    advance(i, _profile(sol))
+    return out

@@ -15,8 +15,7 @@ closed forms; every other index goes through the generic power formulas, so
 e.g. Hellinger and Power(0.5) are the same code path by construction.
 
 Values outside a domain are reported as +inf (never NaN or overflow); at a
-finite conjugate-domain endpoint ``psi`` returns its closure value, while the
-derivative accessors raise :class:`DomainError` outside the open interior.
+finite conjugate-domain endpoint ``psi`` returns its closure value.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DomainError
 
 INF = float("inf")
 
@@ -48,32 +45,11 @@ class DivergenceFamily:
         """Generator value, extended by +inf outside its domain."""
         return _as_like(x, _phi_arr(self.gamma, np.asarray(x, dtype=float)))
 
-    def phi_derivs(self, x):
-        """(phi'(x), phi''(x)) for x in the open interior of dom phi."""
-        x = float(x)
-        g = self.gamma
-        if g != 2.0 and x <= 0.0:
-            raise DomainError(f"{self.name}: x={x} not interior to dom phi")
-        if g == 2.0:
-            return x - 1.0, 1.0
-        if g == 0.0:
-            return 1.0 - 1.0 / x, 1.0 / (x * x)
-        if g == 1.0:
-            return math.log(x), 1.0 / x
-        return (x ** (g - 1.0) - 1.0) / (g - 1.0), x ** (g - 2.0)
-
     # ----- conjugate -------------------------------------------------
 
     def psi(self, t):
         """Conjugate value; closure value at finite endpoints, +inf outside."""
         return _as_like(t, _psi_arr(self.gamma, np.asarray(t, dtype=float)))
-
-    def psi_derivs(self, t):
-        """(psi'(t), psi''(t)) for t in the open interior of dom psi."""
-        t = float(t)
-        if not (self.a_star < t < self.b_star):
-            raise DomainError(f"{self.name}: t={t} not interior to dom psi")
-        return float(self.psi_d1(t)), float(self.psi_d2(t))
 
     # Array-friendly derivative evaluators.  Callers (the dual solver) are
     # responsible for feasibility; out-of-domain entries come back inf/nan.

@@ -25,8 +25,8 @@ import numpy as np
 
 from .distributions import chi2_cdf, chi2_quantile, normal_cdf, normal_quantile
 from .dual import criterion_variance, solve_inner, solve_inner_grid
-from .errors import EstimationError, NotApplicableError
-from .estimate import EstimateOptions, estimate
+from .errors import EstimationError, NotApplicableError, PhidivError
+from .estimate import EstimateOptions, estimate, estimate_many
 
 INF = float("inf")
 
@@ -72,16 +72,41 @@ def _report(kind, stat, df, alpha, sigma2=None, flag=None):
     return TestReport(kind, stat, df, p, crit, alpha, decision, sigma2, flag)
 
 
-def test_model(fam, model, sample, alpha=0.05, options=None):
-    """Test whether any parameter value satisfies all moment constraints."""
+def _check_overidentified(model):
     if model.l <= model.d:
         raise NotApplicableError(
             "model test needs over-identification (more moment functions than "
             "parameters); the statistic degenerates to zero otherwise")
+
+
+def test_model(fam, model, sample, alpha=0.05, options=None):
+    """Test whether any parameter value satisfies all moment constraints."""
+    _check_overidentified(model)
     est = estimate(fam, model, sample, options=options)
+    return _model_report(model, sample, est, alpha), est
+
+
+def _model_report(model, sample, est, alpha):
     stat = 2.0 * sample.n * est.divergence_hat
-    rep = _report("model-test", stat, model.l - model.d, alpha, est.sigma2_hat)
-    return rep, est
+    return _report("model-test", stat, model.l - model.d, alpha, est.sigma2_hat)
+
+
+def test_models(fam, model, samples, alpha=0.05, options=None):
+    """test_model on every sample of an iterable, yielded in order: its
+    (report, fit), or the PhidivError test_model raises; each bit for bit.
+    The fits run in lockstep batches (estimate.estimate_many)."""
+    try:
+        _check_overidentified(model)
+    except NotApplicableError as exc:
+        yield from (exc for _ in samples)
+        return
+    for est in estimate_many(fam, model, samples, options):
+        if not isinstance(est, PhidivError):
+            try:
+                est = _model_report(model, est.problem[2], est, alpha), est
+            except PhidivError as exc:
+                est = exc
+        yield est
 
 
 def test_theta_simple(fam, model, sample, theta, alpha=0.05):

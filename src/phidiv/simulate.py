@@ -3,7 +3,9 @@
 Every replicate draws its own random stream from the tuple
 (master seed, cell index, replicate index) through numpy's SeedSequence, so
 results are a pure function of the plan and independent of execution order
-or worker count.  Cells (one per (epsilon, n) pair) are independent work
+or worker count.  The replicates of every cell of one sample size n are
+fitted together, in lockstep batches (inference.test_models), each
+replicate bit for bit as fitted alone.  These n-groups are independent work
 items; with threads > 1 they are farmed out to a process pool and merged in
 deterministic order.
 """
@@ -17,10 +19,10 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import EstimationError, PhidivError
+from .errors import PhidivError
 from .estimate import EstimateOptions, estimate
 from .families import family as resolve_family
-from .inference import power_approx, test_model
+from .inference import power_approx, test_models
 from .models import WeightedSample, get_model
 
 DEFAULT_N_LIST = (50, 100, 200, 500)
@@ -87,45 +89,47 @@ def generate(plan, cell, replicate):
     return WeightedSample.from_points(x)
 
 
-def _run_cell(plan, cell):
-    eps, n = plan.cells()[cell]
+def _run_size(plan, n):
+    """The rows of every cell of sample size n, as {cell index: row}."""
+    plan_cells = plan.cells()
+    cells = [c for c, (_, m) in enumerate(plan_cells) if m == n]
     model = get_model(plan.model)
     fam = resolve_family(plan.family)
-    rejections = 0
-    failures = 0
-    for rep in range(plan.runs):
-        sample = generate(plan, cell, rep)
-        try:
-            report, _ = test_model(fam, model, sample, plan.alpha,
-                                   options=MC_OPTIONS)
-            rejected = report.decision == "reject"
-        except PhidivError:
+    samples = (generate(plan, c, rep) for c in cells for rep in range(plan.runs))
+    results = test_models(fam, model, samples, plan.alpha, options=MC_OPTIONS)
+    rows = {}
+    for cell in cells:
+        rejections = failures = 0
+        for _ in range(plan.runs):
+            result = next(results)
             # failed fits (e.g. unbounded duals at every start) count as
             # rejections, consistent with the boundary policy in inference
-            rejected = True
-            failures += 1
-        if rejected:
-            rejections += 1
-    rate = rejections / plan.runs
-    return {
-        "epsilon": eps,
-        "n": n,
-        "rejection_rate": rate,
-        "mc_stderr": math.sqrt(rate * (1.0 - rate) / plan.runs),
-        "failures": failures,
-        "unreliable": failures > 0.05 * plan.runs,
-    }
+            failed = isinstance(result, PhidivError)
+            failures += failed
+            rejections += failed or result[0].decision == "reject"
+        rate = rejections / plan.runs
+        rows[cell] = {
+            "epsilon": plan_cells[cell][0],
+            "n": n,
+            "rejection_rate": rate,
+            "mc_stderr": math.sqrt(rate * (1.0 - rate) / plan.runs),
+            "failures": failures,
+            "unreliable": failures > 0.05 * plan.runs,
+        }
+    return rows
 
 
 def mc_power(plan, threads=1):
     """Empirical rejection rate for every (epsilon, n) cell of the plan."""
-    cells = range(len(plan.cells()))
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_run_cell, repeat(plan), cells))
+    sizes = list(dict.fromkeys(plan.n_list))
+    workers = min(threads or 1, len(sizes))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            groups = list(pool.map(_run_size, repeat(plan), sizes))
     else:
-        rows = [_run_cell(plan, c) for c in cells]
-    return rows
+        groups = [_run_size(plan, n) for n in sizes]
+    rows = {cell: row for group in groups for cell, row in group.items()}
+    return [rows[cell] for cell in range(len(plan.cells()))]
 
 
 def discretize_uniform(lo, hi, atoms):

@@ -10,10 +10,12 @@ maximization.
 
 from dataclasses import dataclass
 
+import math
+
 import numpy as np
 import pytest
 
-from phidiv import WeightedSample, get_model
+from phidiv import DomainError, WeightedSample, get_model
 
 
 def primal_quadratic(model, sample, theta):
@@ -141,6 +143,29 @@ def numeric_conjugate(fam, t, lo, hi, num=1001, refine=10):
         half = (hi - lo) / num * 2.0
         lo, hi = best_x - half, best_x + half
     return float(t * best_x - fam.phi(best_x))
+
+
+def phi_derivs(fam, x):
+    """(phi'(x), phi''(x)) for x in the open interior of dom phi."""
+    x = float(x)
+    g = fam.gamma
+    if g != 2.0 and x <= 0.0:
+        raise DomainError(f"{fam.name}: x={x} not interior to dom phi")
+    if g == 2.0:
+        return x - 1.0, 1.0
+    if g == 0.0:
+        return 1.0 - 1.0 / x, 1.0 / (x * x)
+    if g == 1.0:
+        return math.log(x), 1.0 / x
+    return (x ** (g - 1.0) - 1.0) / (g - 1.0), x ** (g - 2.0)
+
+
+def psi_derivs(fam, t):
+    """(psi'(t), psi''(t)) for t in the open interior of dom psi."""
+    t = float(t)
+    if not (fam.a_star < t < fam.b_star):
+        raise DomainError(f"{fam.name}: t={t} not interior to dom psi")
+    return float(fam.psi_d1(t)), float(fam.psi_d2(t))
 
 
 def random_feasible_instance(rng, model_name="mean", n=4):

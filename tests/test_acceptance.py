@@ -22,7 +22,7 @@ from phidiv.simulate import (MC_OPTIONS, SimulationPlan, generate, mc_power,
                              reproduce_figure1)
 
 from conftest import (el_reduced_solve, numeric_conjugate, primal_grid,
-                      primal_quadratic, random_feasible_instance)
+                      primal_quadratic, psi_derivs, random_feasible_instance)
 
 MEAN = get_model("mean")
 MV = get_model("mean-variance")
@@ -48,7 +48,7 @@ def test_criterion_01_conjugate_suite():
             err = abs(fam.psi(t) - numeric_conjugate(fam, t, lo, hi,
                                                      num=501, refine=6))
             worst = max(worst, err)
-        d1, d2 = fam.psi_derivs(0.0)
+        d1, d2 = psi_derivs(fam, 0.0)
         assert abs(d1 - 1.0) <= 1e-10 and abs(d2 - 1.0) <= 1e-10
     assert worst <= 1e-6
     xs = np.linspace(0.05, 6.0, 60)

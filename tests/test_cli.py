@@ -205,6 +205,23 @@ def test_bad_runs_is_usage_error(capsys, runs):
     assert exc.value.code == 1
 
 
+POWER = ["power", "--n", "20", "--alpha", "0.05", "--df", "1", "--div", "0.1", "--sigma", "1"]
+SAMPLESIZE = ["samplesize", "--beta", "0.5", "--alpha", "0.05", "--df", "1", "--div", "0.1",
+              "--sigma", "1"]
+SIMULATE = ["simulate", "--figure1", "--runs", "2", "--n-list", "20", "--threads", "1"]
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "-3", "1.5"])
+@pytest.mark.parametrize("argv, flag", [(POWER, "--n"), (POWER, "--df"),
+                                        (SAMPLESIZE, "--df"), (SIMULATE, "--threads")])
+def test_bad_integer_flag_is_usage_error(capsys, argv, flag, value):
+    argv = list(argv)
+    argv[argv.index(flag) + 1] = value
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+
+
 def test_out_file_written(capsys, data_csv, tmp_path):
     out = tmp_path / "res.json"
     code, _ = run(capsys, "estimate", "--data", str(data_csv), "--out", str(out))

@@ -7,7 +7,8 @@ from phidiv import (CHI2, CHI2M, HELLINGER, KL, KLM, RankDeficiencyError,
                     WeightedSample, chi2_closed_form, family, get_model,
                     power_family, solve_inner)
 from phidiv import dual
-from phidiv.dual import _augmented, _grad_hess, _objective, solve_inner_grid
+from phidiv.dual import (_augmented, _grad_hess, _objective, chi2_objectives,
+                         solve_inner_grid)
 
 from conftest import (el_reduced_solve, primal_grid, primal_quadratic,
                       random_feasible_instance)
@@ -306,3 +307,34 @@ def test_grid_solve_equals_solve_inner_bit_for_bit(gamma, model_name, n, seed, t
                solve_inner_grid(fam, model, sample, grid, init=init)]
     want = [solution_bits(solve_inner(fam, model, sample, theta, init=init)) for theta in grid]
     assert got == want
+
+
+def closed_form_bits(model, sample, theta):
+    try:
+        return chi2_closed_form(model, sample, theta).objective.hex()
+    except RankDeficiencyError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@given(n=st.integers(3, 200), seed=st.integers(0, 2 ** 32 - 1),
+       tie=st.sampled_from(["none", "exact", "near"]), npts=st.integers(1, 12),
+       stack_bytes=st.sampled_from([1 << 11, 1 << 16]))
+@settings(max_examples=60, deadline=None)
+def test_stacked_closed_form_equals_chi2_closed_form(n, seed, tie, npts, stack_bytes):
+    # ties make the Gram matrix singular (RankDeficiencyError); a near tie
+    # puts its smallest eigenvalue close to the 1e-12 relative cut
+    rng = np.random.default_rng(seed)
+    samples = []
+    for _ in range(rng.integers(1, 4)):
+        x = rng.uniform(-1.0, 1.0 + rng.random(), n)
+        if tie != "none":
+            x = rng.choice(x[:2], n)
+        if tie == "near":
+            x[0] = x[-1] + 10.0 ** -rng.uniform(1.0, 7.0)
+        samples.append(WeightedSample.from_points(x))
+    problems = [(s, [theta]) for s in samples for theta in rng.uniform(-1.0, 2.0, npts)]
+    with pytest.MonkeyPatch.context() as mp:  # small budgets: several stacks
+        mp.setattr(dual, "STACK_BYTES", stack_bytes)
+        got = [(type(v).__name__, str(v)) if isinstance(v, Exception) else v.hex()
+               for v in chi2_objectives(MV, problems)]
+    assert got == [closed_form_bits(MV, s, theta) for s, theta in problems]

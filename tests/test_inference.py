@@ -1,13 +1,19 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phidiv import (CHI2, KLM, EstimateOptions, EstimationError,
-                    NotApplicableError, ParameterSpaceError, WeightedSample,
-                    chi2_quantile, confidence_region, estimate, get_model,
-                    power_approx, sample_size, sample_size_real, solve_inner)
+                    NotApplicableError, ParameterSpaceError, PhidivError,
+                    WeightedSample, chi2_quantile, confidence_region, estimate,
+                    family, get_model, power_approx, sample_size,
+                    sample_size_real, solve_inner)
 from phidiv import test_model as model_test
+from phidiv.inference import test_models as model_tests
+from phidiv.simulate import MC_OPTIONS
 from phidiv import test_theta_composite as composite_test
 from phidiv import test_theta_simple as simple_test
 from phidiv import dual, inference
@@ -41,6 +47,60 @@ def test_model_test_rejects_misspecified(rng):
     rep, _ = model_test(KLM, MV, s, 0.05, options=FAST)
     assert rep.decision == "reject"
     assert rep.p_value < 0.01
+
+
+def model_test_bits(result):
+    """Everything test_model returns, or the type and message of what it
+    raises: equal values are bit for bit."""
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    rep, est = result
+    return (repr(rep.to_dict()), est.theta_hat.tobytes(), est.t_hat.tobytes(),
+            float(est.divergence_hat).hex(), float(est.sigma2_hat).hex(),
+            est.inner.u.tobytes(), est.inner.status, est.inner.iterations,
+            est.inner.diagnostics["backtracks"], repr(est.diagnostics))
+
+
+@given(spec=st.sampled_from(["KLm", "KL", "chi2", "hellinger", "power:-0.5", "power:0.75"]),
+       sizes=st.lists(st.one_of(st.integers(1, 12), st.integers(1, 500)),
+                      min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1), n_starts=st.sampled_from([1, 3]),
+       mc=st.booleans(), stack_bytes=st.sampled_from([1 << 11, 1 << 16]))
+@settings(max_examples=30, deadline=None)
+def test_lockstep_model_tests_equal_test_model(spec, sizes, seed, n_starts, mc,
+                                               stack_bytes):
+    # samples of one size come in runs, so that they share a lockstep batch;
+    # tied atoms make singular Gram matrices, n <= 2 too few observations,
+    # and non-uniform weights a batch of their own
+    rng = np.random.default_rng(seed)
+    samples = []
+    for n in sizes:
+        for _ in range(rng.integers(1, 4)):
+            kind = rng.integers(4)
+            x = rng.choice(rng.uniform(-1.0, 1.0, 2), n) if kind == 0 else \
+                rng.uniform(-1.0, 1.0 + rng.random(), n)
+            w = rng.dirichlet(np.ones(n)) if kind == 1 else np.full(n, 1.0 / n)
+            samples.append(WeightedSample(x, w))
+    fam = family(spec)
+    options = replace(MC_OPTIONS if mc else EstimateOptions(), n_starts=n_starts)
+    with pytest.MonkeyPatch.context() as mp:  # small budgets: several batches
+        mp.setattr(dual, "STACK_BYTES", stack_bytes)
+        got = [model_test_bits(r) for r in model_tests(fam, MV, samples, 0.05, options)]
+    want = []
+    for sample in samples:
+        try:
+            want.append(model_test_bits(model_test(fam, MV, sample, 0.05, options)))
+        except PhidivError as exc:
+            want.append(model_test_bits(exc))
+    assert got == want
+
+
+def test_lockstep_model_tests_need_overidentification(rng):
+    samples = [WeightedSample.from_points(rng.normal(size=20)) for _ in range(2)]
+    got = [(type(r), str(r)) for r in model_tests(KLM, MEAN, samples)]
+    with pytest.raises(NotApplicableError) as want:
+        model_test(KLM, MEAN, samples[0])
+    assert got == [(NotApplicableError, str(want.value))] * 2
 
 
 def test_simple_theta_worked_example():

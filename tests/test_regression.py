@@ -23,6 +23,7 @@ from phidiv import (CHI2, HELLINGER, KL, KLM, PhidivError, WeightedSample,
                     variance_blocks)
 from phidiv import test_model as model_test
 from phidiv import test_theta_simple as simple_test
+from phidiv.inference import test_models as model_tests
 from phidiv.simulate import MC_OPTIONS, SimulationPlan
 
 REFERENCE = Path(__file__).with_name("regression_values.json")
@@ -60,6 +61,33 @@ def figure1_values():
     return out
 
 
+def lockstep_figure1_values():
+    """figure1_values through the lockstep driver, inference.test_models, fed
+    one sample size after another as simulate feeds it."""
+    cells = PLAN.cells()
+    order = [(cell, rep) for n in PLAN.n_list for cell in range(len(cells))
+             if cells[cell][1] == n for rep in range(PLAN.runs)]
+    results = model_tests(KLM, MV, (generate(PLAN, *key) for key in order),
+                          PLAN.alpha, options=MC_OPTIONS)
+    records = {}
+    for key, result in zip(order, results):
+        if isinstance(result, PhidivError):
+            records[key] = {"error": type(result).__name__}
+            continue
+        report, est = result
+        records[key] = {
+            "statistic": _hex(report.statistic),
+            "p_value": _hex(report.p_value),
+            "decision": report.decision,
+            "sigma2_hat": _hex(est.sigma2_hat),
+            "theta_hat": _hex(est.theta_hat),
+            "t_hat": _hex(est.t_hat),
+            "inner_iterations": est.inner.iterations,
+            "outer_iterations": est.diagnostics["outer_iterations"],
+        }
+    return [records[cell, rep] for cell in range(len(cells)) for rep in range(PLAN.runs)]
+
+
 def fit_values():
     """Default-option fit, simple test at 1/3 and a 19-point scan per family."""
     x = np.random.default_rng(11).uniform(-1.0, 1.3, size=200)
@@ -95,6 +123,14 @@ def _reference():
 def test_figure1_plan_bit_identical():
     ref = _reference()["figure1"]
     got = figure1_values()
+    assert len(got) == len(ref)
+    for i, (g, r) in enumerate(zip(got, ref)):
+        assert g == r, f"replicate {i}"
+
+
+def test_figure1_plan_lockstep_bit_identical():
+    ref = _reference()["figure1"]
+    got = lockstep_figure1_values()
     assert len(got) == len(ref)
     for i, (g, r) in enumerate(zip(got, ref)):
         assert g == r, f"replicate {i}"

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from phidiv import simulate
 from phidiv.simulate import (SimulationPlan, approx_power_curve,
                              discretize_uniform, generate, mc_power,
                              reproduce_figure1, write_power_csv)
@@ -64,6 +67,33 @@ def test_mc_power_thread_invariant():
     serial = mc_power(SMALL, threads=1)
     parallel = mc_power(SMALL, threads=2)
     assert serial == parallel
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    def __init__(self, made, max_workers):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_mc_power_starts_one_worker_per_sample_size_at_most(monkeypatch):
+    made = []
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(made, max_workers))
+    plan = replace(SMALL, n_list=(50, 30), runs=3)
+    assert mc_power(plan, threads=64) == mc_power(plan)
+    assert made == [2]
+    mc_power(replace(plan, n_list=(30,)), threads=64)  # one size: no pool
+    assert made == [2]
 
 
 def test_discretize_uniform():
