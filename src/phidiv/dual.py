@@ -339,6 +339,12 @@ def _solve_psd(neg_h, grad):
     return np.full_like(grad, np.nan), True
 
 
+def _singular(evals):
+    """Whether a Gram matrix with ascending eigenvalues evals (last axis)
+    counts as singular: the smallest is below 1e-12 of the largest, or of 1."""
+    return evals[..., 0] <= 1e-12 * np.maximum(evals[..., -1], 1.0)
+
+
 def chi2_closed_form(model, sample, theta, A=None):
     """Exact dual solution for the quadratic family via one linear solve;
     A, when given, is the design matrix at an already checked theta."""
@@ -349,7 +355,7 @@ def chi2_closed_form(model, sample, theta, A=None):
     rhs = -(A.T @ w)
     rhs[0] += 1.0
     evals, evecs = np.linalg.eigh(gram)
-    if evals[0] <= 1e-12 * max(evals[-1], 1.0):
+    if _singular(evals):
         combo = np.round(evecs[:, 0], 6)
         raise RankDeficiencyError(
             f"singular Gram matrix: constraint combination {combo.tolist()} "
@@ -392,7 +398,7 @@ def chi2_objectives(model, problems):
             rhs = -np.matmul(A.transpose(0, 2, 1), w[:, None])[:, :, 0]
             rhs[:, 0] += 1.0
             evals = np.linalg.eigh(gram)[0]
-            ok = ~(evals[:, 0] <= 1e-12 * np.maximum(evals[:, -1], 1.0))
+            ok = ~_singular(evals)
             t = np.linalg.solve(gram[ok], rhs[ok][:, :, None])[:, :, 0]
             vals = _psi_arr(2.0, _matvec(A[ok], t))
             obj = iter((t[:, 0] - np.matmul(vals[:, None, :], w[:, None])[:, 0, 0]).tolist())
@@ -492,11 +498,12 @@ def _chunks(model, problems):
     return [problems[i:i + size] for i in range(0, len(problems), size)]
 
 
-def solve_inner_many(fam, model, problems, tol=TOL):
+def solve_inner_many(fam, model, problems, tol=TOL, hold_errors=True):
     """solve_inner(fam, model, sample, theta, init, tol) for every (sample,
     theta, init) of problems, whose samples hold one weight vector, yielded
-    in order; where solve_inner raises, its error is yielded instead, so
-    that one problem's error stops no other.
+    in order.  Where solve_inner raises, its error is yielded instead, so
+    that one problem's error stops no other; without hold_errors it is
+    raised at once, before the rest of its chunk is solved.
 
     The problems are set up one by one as in solve_inner and solved in
     chunks of at most STACK_BYTES of design tensor by _newton_ascent_stack;
@@ -510,6 +517,8 @@ def solve_inner_many(fam, model, problems, tol=TOL):
             try:
                 a, t, sol = _prepare(fam, model, sample, theta, init)
             except Exception as exc:  # handed to the caller in place of the solution
+                if not hold_errors:
+                    raise
                 a, t, sol = None, None, exc
             if sol is None:
                 todo.append(len(sols))
@@ -530,10 +539,8 @@ def solve_inner_many(fam, model, problems, tol=TOL):
 def solve_inner_grid(fam, model, sample, thetas, init=None):
     """solve_inner at every theta of a grid, yielded in order: solve_inner_many
     on one repeated sample, raising the first error solve_inner raises."""
-    for sol in solve_inner_many(fam, model, [(sample, theta, init) for theta in thetas]):
-        if isinstance(sol, Exception):
-            raise sol
-        yield sol
+    yield from solve_inner_many(fam, model, [(sample, theta, init) for theta in thetas],
+                                hold_errors=False)
 
 
 def criterion_variance(fam, w, u, t0):

@@ -286,6 +286,9 @@ def _fit(fam, model, sample, options):
                             (fam, model, sample))
 
 
+# estimate scores its pool one theta at a time: a stack of one sample's 8
+# thetas (chi2_objectives) saves about 0.35 ms a fit at n <= 200, but at
+# n = 10^5 it holds one problem and doubles the temporaries (4.6 -> 10.7 MB).
 def _score(model, sample, theta):
     try:
         return chi2_closed_form(model, sample, theta).objective

@@ -5,9 +5,10 @@ Every replicate draws its own random stream from the tuple
 results are a pure function of the plan and independent of execution order
 or worker count.  The replicates of every cell of one sample size n are
 fitted together, in lockstep batches (inference.test_models), each
-replicate bit for bit as fitted alone.  These n-groups are independent work
-items; with threads > 1 they are farmed out to a process pool and merged in
-deterministic order.
+replicate bit for bit as fitted alone.  With threads > 1 each size's stream
+of replicates is cut into up to `threads` pieces on batch boundaries, the
+pieces are farmed out to a process pool, and their counts are summed per
+cell.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from itertools import repeat
 
 import numpy as np
 
+from .dual import stack_size
 from .errors import PhidivError
 from .estimate import EstimateOptions, estimate
 from .families import family as resolve_family
@@ -89,47 +91,68 @@ def generate(plan, cell, replicate):
     return WeightedSample.from_points(x)
 
 
-def _run_size(plan, n):
-    """The rows of every cell of sample size n, as {cell index: row}."""
-    plan_cells = plan.cells()
-    cells = [c for c, (_, m) in enumerate(plan_cells) if m == n]
+def _pieces(plan, threads):
+    """Work items (n, start, stop): the stream of every sample size n (its
+    cells' replicates, cell-major) cut into at most `threads` consecutive
+    pieces on lockstep batch boundaries, so that every batch is the one a
+    single pass fits.  Largest n first, as they cost most."""
     model = get_model(plan.model)
-    fam = resolve_family(plan.family)
-    samples = (generate(plan, c, rep) for c in cells for rep in range(plan.runs))
-    results = test_models(fam, model, samples, plan.alpha, options=MC_OPTIONS)
-    rows = {}
-    for cell in cells:
-        rejections = failures = 0
-        for _ in range(plan.runs):
-            result = next(results)
-            # failed fits (e.g. unbounded duals at every start) count as
-            # rejections, consistent with the boundary policy in inference
-            failed = isinstance(result, PhidivError)
-            failures += failed
-            rejections += failed or result[0].decision == "reject"
-        rate = rejections / plan.runs
-        rows[cell] = {
-            "epsilon": plan_cells[cell][0],
-            "n": n,
-            "rejection_rate": rate,
-            "mc_stderr": math.sqrt(rate * (1.0 - rate) / plan.runs),
-            "failures": failures,
-            "unreliable": failures > 0.05 * plan.runs,
-        }
-    return rows
+    items = []
+    for n in sorted(set(plan.n_list), reverse=True):
+        total = plan.n_list.count(n) * len(plan.epsilon_grid) * plan.runs
+        batch = stack_size(model, n)
+        batches = -(-total // batch)
+        k = min(threads, batches)
+        cuts = [min(total, batch * (batches * j // k)) for j in range(k + 1)]
+        items.extend((n, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
+    return items
+
+
+def _run_piece(plan, n, start, stop):
+    """(cell index, failed, rejected) for each of the samples start:stop of
+    sample size n's stream (see _pieces)."""
+    stream = [(c, rep) for c, (_, m) in enumerate(plan.cells()) if m == n
+              for rep in range(plan.runs)][start:stop]
+    samples = (generate(plan, c, rep) for c, rep in stream)
+    results = test_models(resolve_family(plan.family), get_model(plan.model),
+                          samples, plan.alpha, options=MC_OPTIONS)
+    out = []
+    for (cell, _), result in zip(stream, results):
+        # failed fits (e.g. unbounded duals at every start) count as
+        # rejections, consistent with the boundary policy in inference
+        failed = isinstance(result, PhidivError)
+        out.append((cell, failed, failed or result[0].decision == "reject"))
+    return out
 
 
 def mc_power(plan, threads=1):
     """Empirical rejection rate for every (epsilon, n) cell of the plan."""
-    sizes = list(dict.fromkeys(plan.n_list))
-    workers = min(threads or 1, len(sizes))
+    threads = max(threads, 1)
+    items = _pieces(plan, threads)
+    workers = min(threads, len(items))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(_run_size, repeat(plan), sizes))
+            parts = list(pool.map(_run_piece, repeat(plan), *zip(*items)))
     else:
-        groups = [_run_size(plan, n) for n in sizes]
-    rows = {cell: row for group in groups for cell, row in group.items()}
-    return [rows[cell] for cell in range(len(plan.cells()))]
+        parts = [_run_piece(plan, *item) for item in items]
+    cells = plan.cells()
+    failures, rejections = [0] * len(cells), [0] * len(cells)
+    for part in parts:
+        for cell, failed, rejected in part:
+            failures[cell] += failed
+            rejections[cell] += rejected
+    rows = []
+    for (eps, n), failed, rejected in zip(cells, failures, rejections):
+        rate = rejected / plan.runs
+        rows.append({
+            "epsilon": eps,
+            "n": n,
+            "rejection_rate": rate,
+            "mc_stderr": math.sqrt(rate * (1.0 - rate) / plan.runs),
+            "failures": failed,
+            "unreliable": failed > 0.05 * plan.runs,
+        })
+    return rows
 
 
 def discretize_uniform(lo, hi, atoms):

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phidiv import (CHI2, CHI2M, HELLINGER, KL, KLM, RankDeficiencyError,
-                    WeightedSample, chi2_closed_form, family, get_model,
-                    power_family, solve_inner)
+from phidiv import (CHI2, CHI2M, HELLINGER, KL, KLM, ParameterSpaceError,
+                    RankDeficiencyError, WeightedSample, chi2_closed_form,
+                    family, get_model, power_family, solve_inner)
 from phidiv import dual
 from phidiv.dual import (_augmented, _grad_hess, _objective, chi2_objectives,
                          solve_inner_grid)
@@ -338,3 +338,13 @@ def test_stacked_closed_form_equals_chi2_closed_form(n, seed, tie, npts, stack_b
         got = [(type(v).__name__, str(v)) if isinstance(v, Exception) else v.hex()
                for v in chi2_objectives(MV, problems)]
     assert got == [closed_form_bits(MV, s, theta) for s, theta in problems]
+
+
+def test_grid_raises_a_set_up_error_before_solving_its_chunk(monkeypatch):
+    calls = []
+    for name in ("_newton_ascent", "_newton_ascent_stack"):
+        monkeypatch.setattr(dual, name, lambda *args, _name=name: calls.append(_name))
+    sample = WeightedSample.from_points(np.random.default_rng(0).uniform(-1.0, 1.0, 50))
+    with pytest.raises(ParameterSpaceError, match="outside the parameter box"):
+        next(solve_inner_grid(KLM, MV, sample, [0.3, 0.4, 99.0, 0.5]))
+    assert calls == []

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from phidiv import simulate
+from phidiv import dual, simulate
 from phidiv.simulate import (SimulationPlan, approx_power_curve,
                              discretize_uniform, generate, mc_power,
                              reproduce_figure1, write_power_csv)
@@ -85,15 +85,19 @@ class RecordingPool:
         return map(fn, *iterables)
 
 
-def test_mc_power_starts_one_worker_per_sample_size_at_most(monkeypatch):
+def test_mc_power_farms_out_batch_aligned_pieces(monkeypatch):
     made = []
     monkeypatch.setattr(simulate, "ProcessPoolExecutor",
                         lambda max_workers: RecordingPool(made, max_workers))
-    plan = replace(SMALL, n_list=(50, 30), runs=3)
-    assert mc_power(plan, threads=64) == mc_power(plan)
-    assert made == [2]
-    mc_power(replace(plan, n_list=(30,)), threads=64)  # one size: no pool
-    assert made == [2]
+    monkeypatch.setattr(dual, "STACK_BYTES", 1 << 12)  # batches of 3 at n = 50, 5 at n = 30
+    plan = replace(SMALL, n_list=(50, 30, 50), runs=3)
+    serial = mc_power(plan)
+    assert made == []
+    assert simulate._pieces(plan, 3) == [(50, 0, 3), (50, 3, 6), (50, 6, 12),
+                                         (30, 0, 5), (30, 5, 6)]
+    assert mc_power(plan, threads=3) == serial
+    assert mc_power(plan, threads=64) == serial  # one piece per batch
+    assert made == [3, 6]
 
 
 def test_discretize_uniform():
