@@ -86,14 +86,7 @@ def _emit(payload, out_path=None):
 
 
 def _config_echo(args):
-    echo = {}
-    for k, v in sorted(vars(args).items()):
-        if k in ("func",):
-            continue
-        if isinstance(v, np.ndarray):
-            v = v.tolist()
-        echo[k] = v
-    return echo
+    return {k: v for k, v in sorted(vars(args).items()) if k != "func"}
 
 
 def _load_inputs(args):
@@ -174,8 +167,6 @@ def cmd_confidence(args):
 
 
 def cmd_simulate(args):
-    if not args.figure1:
-        raise DataError("only --figure1 simulation is wired up; pass --figure1")
     eps = tuple(_parse_grid(args.eps_grid)) if args.eps_grid else None
     rows = reproduce_figure1(args.seed, out_path=args.out, family=args.family,
                              n_list=args.n_list, epsilon_grid=eps, runs=args.runs,
@@ -194,7 +185,7 @@ def _add_common_data_flags(p):
     p.add_argument("--family", default="KLm",
                    help="KLm | KL | chi2 | chi2m | hellinger | power:GAMMA")
     p.add_argument("--header", action="store_true", help="skip the first CSV row")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_parse_real, default=0.05)
     p.add_argument("--starts", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write JSON result here")
@@ -222,15 +213,15 @@ def build_parser():
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("power", help="analytic power approximation")
-    for name, typ in (("--n", _positive_int), ("--alpha", float), ("--df", _positive_int),
-                      ("--div", float), ("--sigma", float)):
+    for name, typ in (("--n", _positive_int), ("--alpha", _parse_real),
+                      ("--df", _positive_int), ("--div", _parse_real), ("--sigma", _parse_real)):
         p.add_argument(name, type=typ, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("samplesize", help="sample size for a target power")
-    for name, typ in (("--beta", float), ("--alpha", float), ("--df", _positive_int),
-                      ("--div", float), ("--sigma", float)):
+    for name, typ in (("--beta", _parse_real), ("--alpha", _parse_real),
+                      ("--df", _positive_int), ("--div", _parse_real), ("--sigma", _parse_real)):
         p.add_argument(name, type=typ, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_samplesize)
@@ -246,7 +237,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--family", default="KLm")
     p.add_argument("--runs", type=_positive_int, default=DEFAULT_RUNS)
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_parse_real, default=0.05)
     p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--eps-grid", default=None, help="lo:hi:steps")
     p.add_argument("--n-list", type=_parse_sizes, default=DEFAULT_N_LIST,
@@ -302,6 +293,8 @@ def main(argv=None):
     if args.command == "test" and args.kind in ("theta", "ratio") \
             and args.theta is None:
         parser.error("test theta/ratio requires --theta")
+    if args.command == "simulate" and not args.figure1:
+        parser.error("simulate requires --figure1, the one simulation wired up")
     try:
         code = _run(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
@@ -323,7 +316,7 @@ def _run(args):
     except (OSError, DataError) as exc:
         _emit({"error": str(exc), "kind": "io"})
         return EXIT_IO
-    except (PhidivError, np.linalg.LinAlgError, ValueError) as exc:
+    except (PhidivError, np.linalg.LinAlgError, ValueError, ArithmeticError) as exc:
         _emit({"error": str(exc), "kind": "numeric"})
         return EXIT_NUMERIC
 

@@ -345,16 +345,23 @@ def _singular(evals):
     return evals[..., 0] <= 1e-12 * np.maximum(evals[..., -1], 1.0)
 
 
+def _chi2_system(A, w):
+    """gram = A' diag(w) A, rhs = e_0 - A' w and eigh(gram) of the quadratic
+    dual's system gram t = rhs, for one design (n, p) or a stack (K, n, p),
+    by one design's BLAS or LAPACK call on every slice."""
+    gram = (A * w[:, None]).swapaxes(-1, -2) @ A
+    rhs = -(w @ A)
+    rhs.T[0] += 1.0  # rhs[..., 0], without a slow 0-d view for one design
+    return gram, rhs, np.linalg.eigh(gram)
+
+
 def chi2_closed_form(model, sample, theta, A=None):
     """Exact dual solution for the quadratic family via one linear solve;
     A, when given, is the design matrix at an already checked theta."""
     if A is None:
         A = _augmented(model, sample, model.check_theta(theta))
     w = sample.weights
-    gram = (A * w[:, None]).T @ A
-    rhs = -(A.T @ w)
-    rhs[0] += 1.0
-    evals, evecs = np.linalg.eigh(gram)
+    gram, rhs, (evals, evecs) = _chi2_system(A, w)
     if _singular(evals):
         combo = np.round(evecs[:, 0], 6)
         raise RankDeficiencyError(
@@ -373,15 +380,17 @@ def chi2_objectives(model, problems):
     theta) of problems, whose samples hold one weight vector, or the error
     it raises, in order.
 
-    Each chunk of at most STACK_BYTES of design tensor is solved by stacked
-    matmul, eigh and solve, which make on every slice the BLAS or LAPACK
-    call of chi2_closed_form, so each value is its bits.  A slice the stack
-    does not settle (a singular Gram matrix, a failed LAPACK call) goes to
-    chi2_closed_form alone, for its error.
+    Each chunk of at most STACK_BYTES of design tensor is solved as one
+    stack: _chi2_system, then stacked solve and matmul, each the BLAS or
+    LAPACK call chi2_closed_form makes on one slice, so each value is its
+    bits (chi2_closed_form keeps its own solve: the [..., None] indexing of
+    a shape-generic one cost it 5-7 % at n = 50, one BLAS thread).  A slice
+    the stack does not settle (a singular Gram matrix, a failed LAPACK call)
+    goes to chi2_closed_form alone, for its error, as does a design alone in
+    its chunk: a stack of one would double its memory.
     """
     out = []
     for chunk in _chunks(model, problems):
-        w = chunk[0][0].weights
         designs, todo = [], []
         for sample, theta in chunk:
             try:
@@ -390,24 +399,23 @@ def chi2_objectives(model, problems):
                 out.append(None)
             except Exception as exc:  # handed to the caller in place of the value
                 out.append(exc)
-        if not designs:
-            continue
-        A = np.stack(designs)
-        try:
-            gram = np.matmul((A * w[:, None]).transpose(0, 2, 1), A)
-            rhs = -np.matmul(A.transpose(0, 2, 1), w[:, None])[:, :, 0]
-            rhs[:, 0] += 1.0
-            evals = np.linalg.eigh(gram)[0]
-            ok = ~_singular(evals)
-            t = np.linalg.solve(gram[ok], rhs[ok][:, :, None])[:, :, 0]
-            vals = _psi_arr(2.0, _matvec(A[ok], t))
-            obj = iter((t[:, 0] - np.matmul(vals[:, None, :], w[:, None])[:, 0, 0]).tolist())
-        except np.linalg.LinAlgError:
-            ok = np.zeros(len(A), dtype=bool)
-        for (i, sample), a, settled in zip(todo, A, ok.tolist()):
+        settled, objs = [False] * len(designs), iter(())
+        if len(designs) > 1:
+            designs = np.stack(designs)
+            w = chunk[0][0].weights
             try:
-                out[i] = next(obj) if settled else \
-                    chi2_closed_form(model, sample, None, a).objective
+                gram, rhs, (evals, _) = _chi2_system(designs, w)
+                ok = ~_singular(evals)
+                t = np.linalg.solve(gram[ok], rhs[ok][:, :, None])[:, :, 0]
+                vals = _psi_arr(2.0, _matvec(designs[ok], t))
+                objs = iter((t[:, 0] - np.matmul(vals[:, None, :], w[:, None])[:, 0, 0]).tolist())
+                settled = ok.tolist()
+            except np.linalg.LinAlgError:
+                pass
+        for j, (i, sample) in enumerate(todo):  # by index: no design stays bound
+            try:
+                out[i] = next(objs) if settled[j] else \
+                    chi2_closed_form(model, sample, None, designs[j]).objective
             except Exception as exc:  # as above
                 out[i] = exc
     return out

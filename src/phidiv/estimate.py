@@ -20,9 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dual import (TOL, DualSolution, _augmented, chi2_closed_form,
-                   chi2_objectives, criterion_variance, solve_inner,
-                   solve_inner_many, stack_size)
+from .dual import (TOL, DualSolution, _augmented, chi2_objectives,
+                   criterion_variance, solve_inner, solve_inner_many, stack_size)
 from .errors import EstimationError, PhidivError, RankDeficiencyError
 from .families import CHI2
 
@@ -286,38 +285,40 @@ def _fit(fam, model, sample, options):
                             (fam, model, sample))
 
 
-# estimate scores its pool one theta at a time: a stack of one sample's 8
-# thetas (chi2_objectives) saves about 0.35 ms a fit at n <= 200, but at
-# n = 10^5 it holds one problem and doubles the temporaries (4.6 -> 10.7 MB).
-def _score(model, sample, theta):
-    try:
-        return chi2_closed_form(model, sample, theta).objective
-    except RankDeficiencyError:
-        return INF
-
-
 def estimate(fam, model, sample, options=None):
     """Full minimum-divergence estimation: parameter, divergence, variances."""
     fit = _fit(fam, model, sample, options or EstimateOptions())
-    reply = None
+    reply = error = None
     try:
         while True:
-            kind, x = fit.send(reply)
+            kind, x = fit.send(reply) if error is None else fit.throw(error)
             if kind == _POOL:
-                reply = [_score(model, sample, theta) for theta in x]
+                [(reply, error)] = _score_pools(model, [sample], [x])
             else:
                 reply = profile_objective(x[0], model, sample, *x[1:])
     except StopIteration as stop:
         return stop.value
 
 
+def _score_pools(model, samples, pools):
+    """Per sample, from one chi2_objectives call: the reply to its _POOL
+    request, and the first other error, to raise into its fit, or None."""
+    flat = iter(chi2_objectives(model, [(sample, theta) for sample, pool
+                                        in zip(samples, pools) for theta in pool]))
+    for pool in pools:
+        scores = [next(flat) for _ in pool]
+        yield ([INF if isinstance(v, Exception) else v for v in scores],
+               next((v for v in scores if isinstance(v, Exception)
+                     and not isinstance(v, RankDeficiencyError)), None))
+
+
 def estimate_many(fam, model, samples, options=None):
     """estimate on every sample of an iterable, yielded in order: its
     EstimationResult, or the PhidivError estimate raises; each bit for bit.
-
-    Consecutive samples of bitwise equal weights (all samples of one size
-    from WeightedSample.from_points) are fitted in lockstep, in batches of
-    dual.stack_size; see _lockstep.
+    Consecutive samples of bitwise equal weights (all of one size from
+    WeightedSample.from_points) are fitted in lockstep (see _lockstep), in
+    batches of dual.stack_size whose start pools _score_pools scores with
+    one chi2_objectives call, as estimate scores its one pool.
     """
     options = options or EstimateOptions()
     batch = []
@@ -363,13 +364,8 @@ def _lockstep(fam, model, samples, options):
         ids = [i for i, k in keys.items() if k == first]
         xs = [pending.pop(i)[1] for i in ids]
         if first[0] == _POOL:
-            flat = iter(chi2_objectives(model, [(samples[i], theta) for i, thetas in
-                                                zip(ids, xs) for theta in thetas]))
-            for i, thetas in zip(ids, xs):
-                scores = [next(flat) for _ in thetas]
-                error = next((v for v in scores if isinstance(v, Exception)
-                              and not isinstance(v, RankDeficiencyError)), None)
-                advance(i, [INF if isinstance(v, Exception) else v for v in scores], error)
+            for i, reply in zip(ids, _score_pools(model, [samples[i] for i in ids], xs)):
+                advance(i, *reply)
         else:
             sols = solve_inner_many(first[1], model, [(samples[i], x[1], x[2]) for i, x
                                                       in zip(ids, xs)], first[2])

@@ -187,10 +187,10 @@ def power_approx(n, alpha, df, div, sigma):
     div is the population divergence of the alternative, sigma the standard
     deviation of the criterion integrand at the pseudo-true optimum.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    if div < 0.0:
-        raise ValueError("divergence must be nonnegative")
+    if not 0.0 < sigma < INF:  # nan fails too
+        raise ValueError("sigma must be positive and finite")
+    if not 0.0 <= div < INF:
+        raise ValueError("divergence must be nonnegative and finite")
     if n < 1:
         raise ValueError("n must be at least 1")
     q = chi2_quantile(1.0 - alpha, df)
@@ -199,10 +199,10 @@ def power_approx(n, alpha, df, div, sigma):
 
 def sample_size_real(beta, alpha, df, div, sigma):
     """Positive root n0 of the power equation (before integer rounding)."""
-    if div <= 0.0:
-        raise ValueError("divergence must be positive to plan a sample size")
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    if not 0.0 < div < INF:  # nan fails too
+        raise ValueError("divergence must be positive and finite to plan a sample size")
+    if not 0.0 < sigma < INF:
+        raise ValueError("sigma must be positive and finite")
     if not 0.0 < beta < 1.0:
         raise ValueError("target power must lie in (0, 1)")
     q = chi2_quantile(1.0 - alpha, df)

@@ -48,8 +48,10 @@ class SimulationPlan:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
-        if any(n < 1 for n in self.n_list):
-            raise ValueError("every sample size in n_list must be >= 1")
+        moments = get_model(self.model).l
+        if any(n <= moments for n in self.n_list):
+            raise ValueError(f"every sample size in n_list must exceed {moments}, the "
+                             "model's number of moment functions")
         if self.generator[0] not in ("uniform", "normal", "atoms"):
             raise ValueError(f"unknown generator {self.generator[0]!r}")
 

@@ -222,6 +222,54 @@ def test_bad_integer_flag_is_usage_error(capsys, argv, flag, value):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1/0", "x"])
+@pytest.mark.parametrize("argv, flag", [
+    (POWER, "--alpha"), (POWER, "--div"), (POWER, "--sigma"),
+    (SAMPLESIZE, "--beta"), (SAMPLESIZE, "--alpha"), (SAMPLESIZE, "--div"),
+    (SAMPLESIZE, "--sigma"), (SIMULATE, "--alpha"),
+    (["estimate", "--data", "unread.csv"], "--alpha"),
+])
+def test_bad_real_flag_is_usage_error(capsys, argv, flag, value):
+    argv = list(argv) + ([] if flag in argv else [flag, "0.05"])
+    argv[argv.index(flag) + 1] = value
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("div, sigma", [("1e-200", "1"), ("1e-308", "1e308"),
+                                        ("1e300", "1e-300")])
+def test_extreme_finite_samplesize_is_numeric_error(capsys, div, sigma):
+    # finite inputs whose sample size over- or underflows: a typed error
+    # (ZeroDivisionError, OverflowError), not a traceback
+    argv = list(SAMPLESIZE)
+    argv[argv.index("--beta") + 1] = "0.8"
+    argv[argv.index("--div") + 1], argv[argv.index("--sigma") + 1] = div, sigma
+    code, payload = run(capsys, *argv)
+    assert (code, payload["kind"]) == (3, "numeric")
+
+
+def test_simulate_needs_figure1(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--runs", "2", "--n-list", "20"])
+    assert exc.value.code == 1
+    assert "requires --figure1" in capsys.readouterr().err
+    cfg = tmp_path / "phidiv.cfg"
+    cfg.write_text("figure1 = true\n")
+    code, _ = run(capsys, "--config", str(cfg), "simulate", "--runs", "2",
+                  "--n-list", "20", "--eps-grid", "0.5:0.5:1", "--out",
+                  str(tmp_path / "fig.csv"))
+    assert code == 0
+
+
+def test_simulate_n_list_below_the_moments_is_numeric_error(capsys):
+    # n = 2 cannot be fitted with 2 moment functions: every replicate would
+    # fail and count as a rejection
+    code, payload = run(capsys, "simulate", "--figure1", "--runs", "2", "--n-list", "20,2")
+    assert code == 3
+    assert payload["kind"] == "numeric" and "n_list" in payload["error"]
+
+
 def test_out_file_written(capsys, data_csv, tmp_path):
     out = tmp_path / "res.json"
     code, _ = run(capsys, "estimate", "--data", str(data_csv), "--out", str(out))

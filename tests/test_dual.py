@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -338,6 +340,44 @@ def test_stacked_closed_form_equals_chi2_closed_form(n, seed, tie, npts, stack_b
         got = [(type(v).__name__, str(v)) if isinstance(v, Exception) else v.hex()
                for v in chi2_objectives(MV, problems)]
     assert got == [closed_form_bits(MV, s, theta) for s, theta in problems]
+
+
+def test_lone_design_goes_to_chi2_closed_form_unstacked(monkeypatch):
+    # a chunk of one problem is not stacked: chi2_closed_form solves it
+    s = WeightedSample.from_points(np.random.default_rng(2).uniform(-1.0, 1.2, 50))
+    problems = [(s, [theta]) for theta in np.linspace(0.1, 0.9, 5)]
+    want = [chi2_closed_form(MV, s, theta).objective for _, theta in problems]
+    calls = []
+
+    def counted(model, sample, theta, A=None):
+        calls.append(theta)
+        return chi2_closed_form(model, sample, theta, A)
+
+    monkeypatch.setattr(dual, "chi2_closed_form", counted)
+    monkeypatch.setattr(dual, "STACK_BYTES", 1)  # one problem a chunk
+    got = chi2_objectives(MV, problems)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert calls == [None] * len(problems)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pool_of_lone_designs_peaks_as_one_closed_form():
+    # at n = 20 000 a chunk holds one design: scoring a pool of 8 thetas
+    # holds one design and its temporaries at a time, never a stack of one
+    s = WeightedSample.from_points(np.random.default_rng(4).uniform(-1.0, 1.2, 20_000))
+    pool = np.linspace(0.1, 0.9, 8)
+    assert dual.stack_size(MV, s.n) == 1
+    one = traced_peak(lambda: chi2_closed_form(MV, s, [pool[0]]))
+    scored = traced_peak(lambda: chi2_objectives(MV, [(s, [theta]) for theta in pool]))
+    assert scored <= 1.1 * one
 
 
 def test_grid_raises_a_set_up_error_before_solving_its_chunk(monkeypatch):

@@ -328,6 +328,21 @@ def test_sample_size_monotone_in_beta():
         sample_size(0.8, 0.05, 1, 0.0, 1.0)
 
 
+NONFINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", NONFINITE)
+def test_nonfinite_div_or_sigma_is_value_error(bad):
+    # nan passed every sign check, and inf gave a power of 0.5 or 1.0
+    for div, sigma in ((bad, 1.0), (0.1, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            power_approx(100, 0.05, 1, div, sigma)
+        with pytest.raises(ValueError, match="finite"):
+            sample_size_real(0.8, 0.05, 1, div, sigma)
+        with pytest.raises(ValueError, match="finite"):
+            sample_size(0.8, 0.05, 1, div, sigma)
+
+
 def test_nan_statistic_is_estimation_error():
     # a NaN statistic must not come out as "accept" with p = 0
     from phidiv.inference import _report

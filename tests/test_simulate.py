@@ -17,9 +17,12 @@ def test_plan_validation():
         SimulationPlan(runs=0)
     with pytest.raises(ValueError):
         SimulationPlan(generator=("weird", 0.0, 1.0))
-    for n_list in ((0,), (50, 0), (-5,)):
+    for n_list in ((0,), (50, 0), (-5,), (2,), (50, 1)):
         with pytest.raises(ValueError, match="n_list"):
             SimulationPlan(n_list=n_list)
+    with pytest.raises(ValueError, match="n_list"):  # one moment function
+        SimulationPlan(model="mean", n_list=(1,))
+    assert SimulationPlan(model="mean", n_list=(2,)).n_list == (2,)
     assert SMALL.cells() == [(0.3, 50), (0.8, 50)]
 
 
