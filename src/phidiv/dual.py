@@ -20,14 +20,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import RankDeficiencyError
+from .errors import DomainError, RankDeficiencyError
 from .families import CHI2, DivergenceFamily, _psi_arr
 
 OBJ_BOUND = 1e12        # objective beyond this: declare unbounded
 T_BOUND = 1e8           # dual vector beyond this: declare unbounded
 T_SOFT = 1e6            # gradient convergence beyond this norm: escape to infinity
 STEP_GROWTH_RUNS = 5    # consecutive 10x step growths before unbounded
-TOL = 1e-9              # default gradient tolerance of solve_inner
+TOL = 1e-9              # default gradient tolerance of the inner solve
 MAX_ITER = 200          # Newton iteration cap
 MARGIN = 1e-10          # strict-feasibility margin of the Newton line search
 
@@ -341,27 +341,38 @@ def _solve_psd(neg_h, grad):
 
 def _singular(evals):
     """Whether a Gram matrix with ascending eigenvalues evals (last axis)
-    counts as singular: the smallest is below 1e-12 of the largest, or of 1."""
-    return evals[..., 0] <= 1e-12 * np.maximum(evals[..., -1], 1.0)
+    counts as singular: the smallest is not above 1e-12 of the largest, or
+    of 1 (so nan eigenvalues count as singular)."""
+    return ~(evals[..., 0] > 1e-12 * np.maximum(evals[..., -1], 1.0))
 
 
 def _chi2_system(A, w):
-    """gram = A' diag(w) A, rhs = e_0 - A' w and eigh(gram) of the quadratic
-    dual's system gram t = rhs, for one design (n, p) or a stack (K, n, p),
-    by one design's BLAS or LAPACK call on every slice."""
+    """gram = A' diag(w) A and rhs = e_0 - A' w of the quadratic dual's
+    system gram t = rhs, for one design (n, p) or a stack (K, n, p), by one
+    design's BLAS call on every slice."""
     gram = (A * w[:, None]).swapaxes(-1, -2) @ A
     rhs = -(w @ A)
     rhs.T[0] += 1.0  # rhs[..., 0], without a slow 0-d view for one design
-    return gram, rhs, np.linalg.eigh(gram)
+    return gram, rhs
 
 
 def chi2_closed_form(model, sample, theta, A=None):
     """Exact dual solution for the quadratic family via one linear solve;
-    A, when given, is the design matrix at an already checked theta."""
+    A, when given, is the design matrix at theta, already checked.  Raises
+    DomainError when the Gram matrix is not finite or eigh fails on it (the
+    moment functions overflow), RankDeficiencyError when it is singular."""
     if A is None:
         A = _augmented(model, sample, model.check_theta(theta))
     w = sample.weights
-    gram, rhs, (evals, evecs) = _chi2_system(A, w)
+    gram, rhs = _chi2_system(A, w)
+    try:
+        evals, evecs = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError:  # as it does on most matrices holding nan
+        evals = None
+    if evals is None or (_singular(evals) and not np.isfinite(gram).all()):
+        raise DomainError(
+            f"the Gram matrix at theta = {np.asarray(theta, dtype=float).tolist()} is "
+            "not finite: the moment functions overflow on this sample")
     if _singular(evals):
         combo = np.round(evecs[:, 0], 6)
         raise RankDeficiencyError(
@@ -385,9 +396,9 @@ def chi2_objectives(model, problems):
     LAPACK call chi2_closed_form makes on one slice, so each value is its
     bits (chi2_closed_form keeps its own solve: the [..., None] indexing of
     a shape-generic one cost it 5-7 % at n = 50, one BLAS thread).  A slice
-    the stack does not settle (a singular Gram matrix, a failed LAPACK call)
-    goes to chi2_closed_form alone, for its error, as does a design alone in
-    its chunk: a stack of one would double its memory.
+    the stack does not settle (a singular or non-finite Gram matrix, a failed
+    LAPACK call) goes to chi2_closed_form alone, for its error, as does a
+    design alone in its chunk: a stack of one would double its memory.
     """
     out = []
     for chunk in _chunks(model, problems):
@@ -395,7 +406,7 @@ def chi2_objectives(model, problems):
         for sample, theta in chunk:
             try:
                 designs.append(_augmented(model, sample, model.check_theta(theta)))
-                todo.append((len(out), sample))
+                todo.append((len(out), sample, theta))
                 out.append(None)
             except Exception as exc:  # handed to the caller in place of the value
                 out.append(exc)
@@ -404,18 +415,18 @@ def chi2_objectives(model, problems):
             designs = np.stack(designs)
             w = chunk[0][0].weights
             try:
-                gram, rhs, (evals, _) = _chi2_system(designs, w)
-                ok = ~_singular(evals)
+                gram, rhs = _chi2_system(designs, w)
+                ok = ~_singular(np.linalg.eigh(gram)[0])
                 t = np.linalg.solve(gram[ok], rhs[ok][:, :, None])[:, :, 0]
                 vals = _psi_arr(2.0, _matvec(designs[ok], t))
                 objs = iter((t[:, 0] - np.matmul(vals[:, None, :], w[:, None])[:, 0, 0]).tolist())
                 settled = ok.tolist()
             except np.linalg.LinAlgError:
                 pass
-        for j, (i, sample) in enumerate(todo):  # by index: no design stays bound
+        for j, (i, sample, theta) in enumerate(todo):  # by index: no design stays bound
             try:
                 out[i] = next(objs) if settled[j] else \
-                    chi2_closed_form(model, sample, None, designs[j]).objective
+                    chi2_closed_form(model, sample, theta, designs[j]).objective
             except Exception as exc:  # as above
                 out[i] = exc
     return out
@@ -434,11 +445,13 @@ def _shrink_feasible(fam, A, t):
 
 def _separated(A):
     """True when some moment column j of A = (1, g) keeps one strict sign c
-    over every point: 0 is then outside the convex hull of the g(X_i, theta).
+    over every point: 0 is then outside the convex hull of the g(X_i, theta),
+    which admits no nonnegative measure.
 
-    For gamma <= 1, psi is finite and increasing on (-inf, 0], so t_0 = s,
-    t_j = -s c / min_i |g_ij| keeps every u_i <= 0 while f >= s: the dual is
-    unbounded.  The sums of signs are integers, exact in doubles.
+    For every family but chi2, psi is finite and nondecreasing on (-inf, 0]
+    with psi(0) = 0, so t_0 = s, t_j = -s c / min_i |g_ij| keeps every
+    u_i <= 0 while f >= s: the dual is unbounded.  The sums of signs are
+    integers, exact in doubles.
     """
     s = np.sign(A)
     sums = (s[:, 0] @ s).tolist()  # column 0 is all ones: sums[0] = n
@@ -446,12 +459,12 @@ def _separated(A):
 
 
 def _prepare(fam, model, sample, theta, init):
-    """Per-theta set-up of solve_inner: (A, t0, None), or (None, None, sol)
-    when the answer is known before Newton (a separated theta)."""
+    """Per-theta set-up of the inner solve: (A, t0, None), or (None, None,
+    sol) when the answer is known before Newton (a separated theta)."""
     theta = model.check_theta(theta)
     A = _augmented(model, sample, theta)
     dim = A.shape[1]
-    if fam.gamma <= 1.0 and _separated(A):
+    if fam.gamma != 2.0 and _separated(A):
         return None, None, DualSolution(
             np.zeros(dim), np.zeros(A.shape[0]), np.inf, "unbounded", 0, np.inf,
             {"ridge_used": False, "backtracks": 0}, fam, sample.weights)
@@ -464,25 +477,6 @@ def _prepare(fam, model, sample, theta, init):
         except RankDeficiencyError:
             t0 = np.zeros(dim)
     return A, t0, None
-
-
-def solve_inner(fam, model, sample, theta, init=None, tol=TOL):
-    """Maximize the dual criterion at fixed theta.
-
-    Damped Newton from init (shrunk into the feasible region) or, by
-    default, from the quadratic closed form shrunk likewise, falling back to
-    t = 0 (always feasible).  It stops once the gradient is within
-    tol * (1 + |f|), or after MAX_ITER iterations; every trial point keeps
-    its psi arguments MARGIN inside dom psi.  For gamma <= 1 a moment column
-    of one strict sign (see _separated) returns "unbounded" at once: t = 0,
-    objective +inf, no Newton iteration.  Empirical likelihood is the
-    gamma = 0 (KLm) case.
-    """
-    A, t0, sol = _prepare(fam, model, sample, theta, init)
-    if sol is not None:
-        return sol
-    w = sample.weights
-    return DualSolution(*_newton_ascent(fam, A, w, t0, tol), fam, w)
 
 
 # Byte budget of the design tensor of one stacked call (solve_inner_many,
@@ -507,16 +501,24 @@ def _chunks(model, problems):
 
 
 def solve_inner_many(fam, model, problems, tol=TOL, hold_errors=True):
-    """solve_inner(fam, model, sample, theta, init, tol) for every (sample,
-    theta, init) of problems, whose samples hold one weight vector, yielded
-    in order.  Where solve_inner raises, its error is yielded instead, so
-    that one problem's error stops no other; without hold_errors it is
-    raised at once, before the rest of its chunk is solved.
+    """Maximize the dual criterion at every (sample, theta, init) of
+    problems, whose samples hold one weight vector, yielding the
+    DualSolutions in order.  A problem's set-up error is yielded in its
+    place, so that it stops no other; without hold_errors it is raised at
+    once, before the rest of its chunk is solved.
 
-    The problems are set up one by one as in solve_inner and solved in
-    chunks of at most STACK_BYTES of design tensor by _newton_ascent_stack;
-    a problem alone in its chunk goes to _newton_ascent, which is faster
-    for a single problem.  Each solution equals solve_inner's bit for bit.
+    Damped Newton from init, or by default from the quadratic closed form,
+    shrunk into the feasible region, falling back to t = 0 (always
+    feasible).  It stops once the gradient is within tol * (1 + |f|), or
+    after MAX_ITER iterations; every trial point keeps its psi arguments
+    MARGIN inside dom psi.  For every family but chi2, a moment column of
+    one strict sign (see _separated) returns "unbounded" at once: t = 0,
+    objective +inf, no Newton iteration.  Empirical likelihood is KLm.
+
+    The problems are set up one by one by _prepare and solved in chunks of
+    at most STACK_BYTES of design tensor by _newton_ascent_stack, which
+    gives each _newton_ascent's result bit for bit; a problem alone in its
+    chunk goes to _newton_ascent, which is faster for one problem.
     """
     for chunk in _chunks(model, problems):
         w = chunk[0][0].weights
@@ -544,11 +546,11 @@ def solve_inner_many(fam, model, problems, tol=TOL, hold_errors=True):
         yield from sols
 
 
-def solve_inner_grid(fam, model, sample, thetas, init=None):
-    """solve_inner at every theta of a grid, yielded in order: solve_inner_many
-    on one repeated sample, raising the first error solve_inner raises."""
-    yield from solve_inner_many(fam, model, [(sample, theta, init) for theta in thetas],
-                                hold_errors=False)
+def solve_inner(fam, model, sample, theta, init=None, tol=TOL):
+    """The inner solve at one theta: solve_inner_many of one problem, its
+    set-up errors raised."""
+    return next(solve_inner_many(fam, model, [(sample, theta, init)], tol,
+                                 hold_errors=False))
 
 
 def criterion_variance(fam, w, u, t0):

@@ -119,42 +119,24 @@ def _latin_hypercube(rng, n, lo, hi):
     return pts
 
 
-# The requests _fit yields, and what each is answered with:
-#   _POOL   thetas                   -> per theta, chi2_closed_form's objective,
-#                                       inf where it raises RankDeficiencyError
-#   _SOLVE  (fam, theta, init, tol)  -> profile_objective(fam, model, sample,
-#                                       theta, init, tol)
-_POOL, _SOLVE = range(2)
-
-
-def _pick_starts(model, sample, options):
+def _start_design(model, options):
+    """The start pool and the extra random starts, Latin hypercubes in the
+    parameter box drawn from PCG64(options.seed): the same for every
+    sample."""
     rng = np.random.Generator(np.random.PCG64(options.seed))
     lo, hi = model.theta_lo, model.theta_hi
     pool = _latin_hypercube(rng, max(8, 2 * options.n_starts), lo, hi)
-    # moment-style start: the candidate with the smallest quadratic profile
-    scores = yield _POOL, pool
-    order = np.argsort(scores, kind="stable")
-    lead = pool[order[0]]
-    # refine the leading candidate against the quadratic profile, whose inner
-    # problem is a closed-form linear solve; this lands every family's search
-    # near the moment-type estimate, where the dual stays bounded
-    outcome, _ = yield from _outer_minimize(CHI2, model, sample, lead, options)
-    if outcome is not None:
-        lead = outcome[0]
-    starts = []
-    if options.theta0 is not None:
-        starts.append(np.atleast_1d(np.asarray(options.theta0, dtype=float)))
-    starts.append(lead)
-    starts.extend(_latin_hypercube(rng, max(options.n_starts - 1, 0), lo, hi))
-    return starts
+    return pool, _latin_hypercube(rng, max(options.n_starts - 1, 0), lo, hi)
 
 
 def _outer_minimize(fam, model, sample, theta0, options):
-    """Projected BFGS descent of the profile from one start."""
+    """Projected BFGS descent of the profile from one start; each inner
+    solve is asked for by yielding (fam, theta, init, tol) and answered
+    with profile_objective's (value, solution)."""
     lo, hi = model.theta_lo, model.theta_hi
     d = model.d
     theta = model.clip_theta(theta0)
-    val, sol = yield _SOLVE, (fam, theta, None, options.inner_tol)
+    val, sol = yield fam, theta, None, options.inner_tol
     if not np.isfinite(val):
         return None, {"start": theta.tolist(), "reason": f"infeasible start ({sol.status})"}
     grad = _envelope_grad(model, sample, theta, sol.weights, sol.t)
@@ -176,7 +158,7 @@ def _outer_minimize(fam, model, sample, theta0, options):
             s = cand - theta
             if abs(s).max() < 1e-14 * (1.0 + abs(theta).max()):
                 break
-            cval, csol = yield _SOLVE, (fam, cand, sol.t, options.inner_tol)
+            cval, csol = yield fam, cand, sol.t, options.inner_tol
             if cval <= val + 1e-4 * float(grad @ s):
                 accepted = True
                 break
@@ -259,16 +241,23 @@ def variance_blocks(fam, model, sample, theta, t):
     return v, sigma2, s_mat, m_mat, w_mat
 
 
-def _fit(fam, model, sample, options):
-    """estimate's work, as a generator that asks for every inner solve and
-    start-pool score by yielding a request (see _POOL and _SOLVE) and
-    returns the EstimationResult."""
-    if sample.n <= model.l:
-        raise EstimationError(
-            f"need more observations ({sample.n}) than moment functions ({model.l})")
+def _fit(fam, model, sample, options, lead, extra):
+    """estimate's work from the leading start-pool candidate lead and the
+    extra random starts, as a generator that asks for every inner solve as
+    _outer_minimize does and returns the EstimationResult."""
+    # refine the leading candidate against the quadratic profile, whose inner
+    # problem is a closed-form linear solve; this lands every family's search
+    # near the moment-type estimate, where the dual stays bounded
+    outcome, _ = yield from _outer_minimize(CHI2, model, sample, lead, options)
+    if outcome is not None:
+        lead = outcome[0]
+    starts = []
+    if options.theta0 is not None:
+        starts.append(np.atleast_1d(np.asarray(options.theta0, dtype=float)))
+    starts.append(lead)
+    starts.extend(extra)
     best = None
     per_start = []
-    starts = yield from _pick_starts(model, sample, options)
     for idx, start in enumerate(starts):
         outcome, diag = yield from _outer_minimize(fam, model, sample, start, options)
         diag["index"] = idx
@@ -286,39 +275,21 @@ def _fit(fam, model, sample, options):
 
 
 def estimate(fam, model, sample, options=None):
-    """Full minimum-divergence estimation: parameter, divergence, variances."""
-    fit = _fit(fam, model, sample, options or EstimateOptions())
-    reply = error = None
-    try:
-        while True:
-            kind, x = fit.send(reply) if error is None else fit.throw(error)
-            if kind == _POOL:
-                [(reply, error)] = _score_pools(model, [sample], [x])
-            else:
-                reply = profile_objective(x[0], model, sample, *x[1:])
-    except StopIteration as stop:
-        return stop.value
-
-
-def _score_pools(model, samples, pools):
-    """Per sample, from one chi2_objectives call: the reply to its _POOL
-    request, and the first other error, to raise into its fit, or None."""
-    flat = iter(chi2_objectives(model, [(sample, theta) for sample, pool
-                                        in zip(samples, pools) for theta in pool]))
-    for pool in pools:
-        scores = [next(flat) for _ in pool]
-        yield ([INF if isinstance(v, Exception) else v for v in scores],
-               next((v for v in scores if isinstance(v, Exception)
-                     and not isinstance(v, RankDeficiencyError)), None))
+    """Full minimum-divergence estimation: parameter, divergence, variances.
+    The one-sample lockstep fit (see _lockstep)."""
+    [est] = _lockstep(fam, model, [sample], options or EstimateOptions())
+    if isinstance(est, PhidivError):
+        raise est
+    return est
 
 
 def estimate_many(fam, model, samples, options=None):
     """estimate on every sample of an iterable, yielded in order: its
-    EstimationResult, or the PhidivError estimate raises; each bit for bit.
-    Consecutive samples of bitwise equal weights (all of one size from
+    EstimationResult, or the PhidivError estimate raises.  Consecutive
+    samples of bitwise equal weights (all of one size from
     WeightedSample.from_points) are fitted in lockstep (see _lockstep), in
-    batches of dual.stack_size whose start pools _score_pools scores with
-    one chi2_objectives call, as estimate scores its one pool.
+    batches of dual.stack_size; each result is bit for bit that of the
+    sample fitted alone, one inner solve at a time.
     """
     options = options or EstimateOptions()
     batch = []
@@ -333,45 +304,58 @@ def estimate_many(fam, model, samples, options=None):
 
 
 def _lockstep(fam, model, samples, options):
-    """One _fit generator per sample, all answered together: each round
-    takes every pending request of one kind (a start pool, or the inner
-    solves of one family and tolerance) and answers it with one stacked
-    call, chi2_objectives or solve_inner_many.  The kinds go in the order
-    they first appeared, which keeps the fits in step: every start pool,
-    then the quadratic search, then the fit proper.  An error raised in
-    answering one fit is thrown into its generator, as estimate would have
-    raised it there.  Returns the results in order."""
-    out = [None] * len(samples)
-    fits = [_fit(fam, model, sample, options) for sample in samples]
-    pending, rank = {}, {}
+    """Fit samples of one weight vector together; returns, in order, each
+    one's EstimationResult or the PhidivError its fit raised.
+
+    Each sample with more observations than moment functions gets the start
+    pool of _start_design, all pools scored by one chi2_objectives call:
+    its lead start is the candidate of least quadratic profile (a singular
+    Gram matrix scores inf), and any other scoring error is its result.
+    Then one _fit generator per sample asks for its inner solves, and each
+    round answers every pending request of one family and tolerance with
+    one solve_inner_many call.  These keys go in the order they first
+    appeared, which keeps the fits in step: the quadratic search, then the
+    fit proper.  An error in answering one fit is thrown into its generator.
+    """
+    out = [EstimationError(f"need more observations ({sample.n}) than moment "
+                           f"functions ({model.l})") if sample.n <= model.l else None
+           for sample in samples]
+    sized = [i for i, est in enumerate(out) if est is None]
+    pool, extra = _start_design(model, options)
+    scores = iter(chi2_objectives(model, [(samples[i], theta) for i in sized
+                                          for theta in pool]))
+    fits, requests, rank, waiting = {}, {}, {}, {}
 
     def advance(i, reply=None, error=None):
         try:
-            pending[i] = fits[i].send(reply) if error is None else fits[i].throw(error)
+            x = fits[i].send(reply) if error is None else fits[i].throw(error)
         except StopIteration as stop:
             out[i] = stop.value
         except PhidivError as exc:
             out[i] = exc
+        else:  # wait with the fits asking for the same (fam, tol)
+            requests[i] = x
+            waiting.setdefault(rank.setdefault((x[0], x[3]), len(rank)), []).append(i)
 
-    for i in range(len(samples)):
-        advance(i)
-    while pending:
-        keys = {i: (kind,) if kind == _POOL else (kind, x[0], x[3])
-                for i, (kind, x) in pending.items()}
-        for k in keys.values():
-            rank.setdefault(k, len(rank))
-        first = min(keys.values(), key=rank.__getitem__)
-        ids = [i for i, k in keys.items() if k == first]
-        xs = [pending.pop(i)[1] for i in ids]
-        if first[0] == _POOL:
-            for i, reply in zip(ids, _score_pools(model, [samples[i] for i in ids], xs)):
-                advance(i, *reply)
-        else:
-            sols = solve_inner_many(first[1], model, [(samples[i], x[1], x[2]) for i, x
-                                                      in zip(ids, xs)], first[2])
-            for i, sol in zip(ids, sols):
-                if isinstance(sol, Exception):
-                    advance(i, error=sol)
-                else:
-                    advance(i, _profile(sol))
+    for i in sized:
+        vals = [next(scores) for _ in pool]
+        out[i] = next((v for v in vals if isinstance(v, Exception)
+                       and not isinstance(v, RankDeficiencyError)), None)
+        if out[i] is None:
+            order = np.argsort([INF if isinstance(v, Exception) else v for v in vals],
+                               kind="stable")
+            fits[i] = _fit(fam, model, samples[i], options, pool[order[0]], extra)
+            advance(i)
+        elif not isinstance(out[i], PhidivError):
+            raise out[i]
+    while waiting:  # the (fam, tol) that appeared first
+        ids = waiting.pop(min(waiting))
+        xs = [requests[i] for i in ids]
+        sols = solve_inner_many(xs[0][0], model, [(samples[i], x[1], x[2]) for i, x
+                                                  in zip(ids, xs)], xs[0][3])
+        for i, sol in zip(ids, sols):
+            if isinstance(sol, Exception):
+                advance(i, error=sol)
+            else:
+                advance(i, _profile(sol))
     return out

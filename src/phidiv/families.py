@@ -15,7 +15,9 @@ closed forms; every other index goes through the generic power formulas, so
 e.g. Hellinger and Power(0.5) are the same code path by construction.
 
 Values outside a domain are reported as +inf (never NaN or overflow); at a
-finite conjugate-domain endpoint ``psi`` returns its closure value.
+finite conjugate-domain endpoint ``psi`` returns its closure value.  For
+gamma > 1 (but 2), phi(0) = 1/gamma is finite: psi is -1/gamma, its sup at
+x = 0, at and below a_star = -1/(gamma - 1), and its derivatives vanish.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ class DivergenceFamily:
     gamma: float
     a: float       # endpoints of dom phi
     b: float
-    a_star: float  # endpoints of dom psi
-    b_star: float
+    a_star: float  # where psi turns flat (gamma > 1), else -inf
+    b_star: float  # upper endpoint of dom psi
 
     # ----- generator -------------------------------------------------
 
@@ -63,7 +65,8 @@ class DivergenceFamily:
                 return np.exp(t)
         base = (g - 1.0) * t + 1.0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return base ** (1.0 / (g - 1.0))
+            d1 = base ** (1.0 / (g - 1.0))
+        return np.where(base > 0.0, d1, 0.0) if g > 1.0 else d1  # flat below a_star
 
     def psi_d2(self, t):
         g = self.gamma
@@ -75,14 +78,15 @@ class DivergenceFamily:
                 return np.exp(t)
         base = (g - 1.0) * t + 1.0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            return base ** ((2.0 - g) / (g - 1.0))
+            d2 = base ** ((2.0 - g) / (g - 1.0))
+        return np.where(base > 0.0, d2, 0.0) if g > 1.0 else d2
 
     def interior(self, margin=1e-10):
-        """Bounds (lo, hi) of dom psi shrunk by an absolute margin at finite
-        endpoints: u is strictly feasible when lo < u < hi."""
-        lo = self.a_star + margin if math.isfinite(self.a_star) else -INF
-        hi = self.b_star - margin if math.isfinite(self.b_star) else INF
-        return lo, hi
+        """Bounds (lo, hi) of dom psi shrunk by an absolute margin at a
+        finite upper endpoint: u is strictly feasible when lo < u < hi.
+        dom psi has no lower bound (lo = -inf): only gamma > 1 has a finite
+        a_star, and psi is flat below it."""
+        return -INF, self.b_star - margin if math.isfinite(self.b_star) else INF
 
     def strictly_feasible(self, u, margin=1e-10):
         """True when every entry of u is inside dom psi, with an absolute
@@ -135,7 +139,9 @@ def _psi_arr(g, t):
     pos = base > 0.0
     with np.errstate(over="ignore"):
         out[pos] = (base[pos] ** q - 1.0) / g
-    if q > 0.0:  # gamma > 1 or gamma < 0: closure value is finite at the edge
+    if g > 1.0:  # at and below a_star the sup over x >= 0 is at x = 0
+        out[base <= 0.0] = -1.0 / g
+    elif q > 0.0:  # gamma < 0: closure value is finite at the edge b_star
         out[base == 0.0] = -1.0 / g
     return out
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import chi2_cdf, chi2_quantile, normal_cdf, normal_quantile
-from .dual import criterion_variance, solve_inner, solve_inner_grid
+from .dual import criterion_variance, solve_inner, solve_inner_many
 from .errors import EstimationError, NotApplicableError, PhidivError
 from .estimate import EstimateOptions, estimate, estimate_many
 
@@ -158,7 +158,8 @@ def confidence_region(fam, model, sample, alpha, grid, options=None):
     """Grid points whose ratio statistic stays below the chi-square quantile.
 
     grid: array of parameter values, shape (npts,) for d = 1 or (npts, d).
-    The grid is solved by solve_inner_grid, warm-started at the fit; when a
+    The grid is solved by one solve_inner_many call, warm-started at the
+    fit, which raises the first grid point's set-up error; when a
     converged grid point lies below the fitted minimum by more than the
     fit's tolerance, the fit is redone from the best such point before the
     statistics are formed.
@@ -169,8 +170,9 @@ def confidence_region(fam, model, sample, alpha, grid, options=None):
         grid = grid.T
     est = estimate(fam, model, sample, options=options)
     crit = chi2_quantile(1.0 - alpha, model.d)
+    problems = [(sample, theta, est.t_hat) for theta in grid]
     objective = np.array([sol.objective if sol.converged else np.nan for sol in
-                          solve_inner_grid(fam, model, sample, grid, init=est.t_hat)])
+                          solve_inner_many(fam, model, problems, hold_errors=False)])
     converged = ~np.isnan(objective)
     if converged.any():
         best = np.nanargmin(objective)

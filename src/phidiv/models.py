@@ -142,10 +142,10 @@ def register_model(name, model):
     _REGISTRY[name] = model
 
 
-def get_model(name, **kwargs):
+def get_model(name):
     if name in _REGISTRY:
         return _REGISTRY[name]
-    return builtin_model(name, **kwargs)
+    return builtin_model(name)
 
 
 def load_csv(path, header=False):

@@ -200,7 +200,7 @@ def approx_power_curve(plan, atoms=10_000):
 
 def reproduce_figure1(seed, out_path=None, family="KLm",
                       n_list=DEFAULT_N_LIST, epsilon_grid=None,
-                      runs=DEFAULT_RUNS, alpha=0.05, threads=1, atoms=10_000):
+                      runs=DEFAULT_RUNS, alpha=0.05, threads=1):
     """Monte Carlo power versus its analytic approximation on one CSV table.
 
     Columns: n, epsilon, mc_power, mc_stderr, approx_power; one row per
@@ -212,7 +212,7 @@ def reproduce_figure1(seed, out_path=None, family="KLm",
     plan = SimulationPlan(("uniform", -1.0, 1.0), "mean-variance", family,
                           tuple(n_list), runs, alpha, tuple(epsilon_grid), seed)
     mc_rows = mc_power(plan, threads=threads)
-    ap_rows = approx_power_curve(plan, atoms=atoms)
+    ap_rows = approx_power_curve(plan)
     approx = {(r["epsilon"], r["n"]): r["approx_power"] for r in ap_rows}
     rows = []
     for r in mc_rows:

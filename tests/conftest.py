@@ -5,7 +5,8 @@ primal is solved as a linearly-constrained least-squares problem via
 Lagrange multipliers, the general primal by brute-force grid search over
 the affine set of feasible weight vectors, the empirical-likelihood dual in
 its reduced form by a Newton ascent of its own, and the conjugate by grid
-maximization.
+maximization.  The fit reference, estimate_one_at_a_time, does use the
+library's pieces, one call at a time, to check the lockstep fit driver.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,9 @@ import math
 import numpy as np
 import pytest
 
-from phidiv import DomainError, WeightedSample, get_model
+from phidiv import (DomainError, EstimateOptions, EstimationError,
+                    RankDeficiencyError, WeightedSample, chi2_closed_form, get_model)
+from phidiv.estimate import _fit, _start_design, profile_objective
 
 
 def primal_quadratic(model, sample, theta):
@@ -181,6 +184,55 @@ def random_feasible_instance(rng, model_name="mean", n=4):
         lo, hi = x2.min(), x2.max()
         theta = np.array([lo + (0.25 + 0.5 * rng.random()) * (hi - lo)])
     return model, sample, theta
+
+
+def estimate_one_at_a_time(fam, model, sample, options=None):
+    """estimate with nothing batched: the start pool scored theta by theta
+    by chi2_closed_form (a singular Gram matrix scores inf, any other error
+    is raised), then the fit generator's inner solves answered one by one
+    by profile_objective.  estimate and estimate_many must equal it bit for
+    bit."""
+    options = options or EstimateOptions()
+    if sample.n <= model.l:
+        raise EstimationError(
+            f"need more observations ({sample.n}) than moment functions ({model.l})")
+    pool, extra = _start_design(model, options)
+    scores = []
+    for theta in pool:
+        try:
+            scores.append(chi2_closed_form(model, sample, theta).objective)
+        except RankDeficiencyError:
+            scores.append(math.inf)
+    fit = _fit(fam, model, sample, options, pool[np.argsort(scores, kind="stable")[0]],
+               extra)
+    reply = None
+    try:
+        while True:
+            f, theta, init, tol = fit.send(reply)
+            reply = profile_objective(f, model, sample, theta, init, tol)
+    except StopIteration as stop:
+        return stop.value
+
+
+def mixed_samples(rng, sizes):
+    """Runs of one to three samples per size in sizes, so that samples of
+    one size share a lockstep batch: tied atoms make singular Gram matrices,
+    n <= 2 too few observations for two moment functions, and non-uniform
+    weights a batch of their own."""
+    samples = []
+    for n in sizes:
+        for _ in range(rng.integers(1, 4)):
+            kind = rng.integers(4)
+            x = rng.choice(rng.uniform(-1.0, 1.0, 2), n) if kind == 0 else \
+                rng.uniform(-1.0, 1.0 + rng.random(), n)
+            w = rng.dirichlet(np.ones(n)) if kind == 1 else np.full(n, 1.0 / n)
+            samples.append(WeightedSample(x, w))
+    return samples
+
+
+def overflowing_sample(rng, n):
+    """n points of magnitude up to 1e160, so that x^2 overflows to inf."""
+    return WeightedSample.from_points(rng.uniform(-1.0, 1.01, n) * 1e160)
 
 
 @pytest.fixture

@@ -132,6 +132,16 @@ def test_model_test_l_equals_d_is_numeric_error(capsys, data_csv):
     assert payload["kind"] == "numeric"
 
 
+def test_overflowing_moments_are_numeric_error(capsys, tmp_path):
+    p = tmp_path / "big.csv"
+    x = np.random.default_rng(5).uniform(-1.0, 1.01, 30) * 1e160
+    p.write_text("\n".join(f"{v:.17g}" for v in x) + "\n")
+    code, payload = run(capsys, "test", "model", "--data", str(p))
+    assert code == 3
+    assert payload["kind"] == "numeric"
+    assert "the moment functions overflow" in payload["error"]
+
+
 def test_test_subcommands(capsys, data_csv):
     code, payload = run(capsys, "test", "model", "--data", str(data_csv))
     assert code == 0

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from phidiv import (CHI2, CHI2M, HELLINGER, KL, KLM, ParameterSpaceError,
+from phidiv import (CHI2, CHI2M, HELLINGER, KL, KLM, DomainError, ParameterSpaceError,
                     RankDeficiencyError, WeightedSample, chi2_closed_form,
                     family, get_model, power_family, solve_inner)
 from phidiv import dual
 from phidiv.dual import (_augmented, _grad_hess, _objective, chi2_objectives,
-                         solve_inner_grid)
+                         solve_inner_many)
 
-from conftest import (el_reduced_solve, primal_grid, primal_quadratic,
-                      random_feasible_instance)
+from conftest import (el_reduced_solve, overflowing_sample, primal_grid,
+                      primal_quadratic, random_feasible_instance)
 
 MEAN = get_model("mean")
 MV = get_model("mean-variance")
@@ -135,7 +135,7 @@ SEPARATED = WeightedSample.from_points(np.random.default_rng(3).uniform(-1.0, 1.
 
 
 @pytest.mark.parametrize("spec", ["KLm", "KL", "hellinger", "chi2m",
-                                  "power:0.75", "power:-0.5"])
+                                  "power:0.75", "power:-0.5", "power:1.5", "power:4"])
 @pytest.mark.parametrize("theta", [-2.0, 5.0])
 def test_separated_theta_is_unbounded_without_newton(spec, theta, monkeypatch):
     calls = []
@@ -150,11 +150,25 @@ def test_separated_theta_is_unbounded_without_newton(spec, theta, monkeypatch):
 
 @pytest.mark.parametrize("spec", ["chi2", "power:3"])
 def test_separated_theta_is_solved_for_gamma_above_one(spec):
-    # dom psi is bounded below there, so the dual is bounded and Newton runs
-    # (power:3 stops at max-iterations at this theta)
     sol = solve_inner(family(spec), MV, SEPARATED, [-2.0])
+    if spec == "power:3":
+        # psi is flat at -1/3 below a_star, so the empty hull, which admits no
+        # nonnegative measure (primal_grid is +inf), makes the dual unbounded
+        assert (sol.status, sol.iterations, sol.objective) == ("unbounded", 0, np.inf)
+        return
+    # chi2 weights may be negative: the dual is bounded and Newton runs
     assert sol.status != "unbounded" and sol.iterations > 0
     assert np.isfinite(sol.objective) and sol.objective > 0.0
+
+
+def test_gamma_above_one_settles_a_projection_with_zero_weights():
+    # at theta = 0.2 the power:3 projection puts zero weight on some points:
+    # psi' vanishes below a_star, so Newton settles it
+    sol = solve_inner(family("power:3"), MV, SEPARATED, [0.2])
+    assert sol.converged and sol.iterations < 20
+    q = sol.weights
+    assert (q >= 0.0).all() and (q == 0.0).any()
+    assert q.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_newton_stall_fast_forward_matches_full_run(monkeypatch):
@@ -241,6 +255,28 @@ def test_dual_equals_primal_quadratic(rng):
         assert np.allclose(sol.weights, q, atol=1e-8)
 
 
+# statuses test_dual_equals_primal_grid_across_gamma skips, each counted:
+# a Newton stalled at the rounding floor of f ends "max-iterations"
+SKIPPED_STATUSES = ("max-iterations",)
+
+
+def test_dual_equals_primal_grid_across_gamma(rng):
+    skipped, checked = {status: 0 for status in SKIPPED_STATUSES}, 0
+    for gamma in rng.uniform(-3.0, 4.0, 40):
+        fam = power_family(gamma)
+        for _ in range(3):
+            model, sample, theta = random_feasible_instance(rng, "mean", n=4)
+            sol = solve_inner(fam, model, sample, theta)
+            if sol.status in skipped:
+                skipped[sol.status] += 1
+                continue
+            assert sol.status == "converged", (gamma, sol.status)
+            oracle = primal_grid(fam, model, sample, theta)
+            assert sol.objective == pytest.approx(oracle, abs=1e-4), gamma
+            checked += 1
+    assert sum(skipped.values()) <= 6 and checked + sum(skipped.values()) == 120
+
+
 def test_dual_equals_primal_grid(rng):
     checked = 0
     for fam in (KLM, KL, HELLINGER):
@@ -305,8 +341,8 @@ def test_grid_solve_equals_solve_inner_bit_for_bit(gamma, model_name, n, seed, t
     fam, model, sample, grid, init = grid_case(gamma, model_name, n, seed, ties, warm, npts)
     with pytest.MonkeyPatch.context() as mp:  # small budgets: several chunks
         mp.setattr(dual, "STACK_BYTES", stack_bytes)
-        got = [solution_bits(sol) for sol in
-               solve_inner_grid(fam, model, sample, grid, init=init)]
+        got = [solution_bits(sol) for sol in solve_inner_many(
+            fam, model, [(sample, theta, init) for theta in grid], hold_errors=False)]
     want = [solution_bits(solve_inner(fam, model, sample, theta, init=init)) for theta in grid]
     assert got == want
 
@@ -314,17 +350,20 @@ def test_grid_solve_equals_solve_inner_bit_for_bit(gamma, model_name, n, seed, t
 def closed_form_bits(model, sample, theta):
     try:
         return chi2_closed_form(model, sample, theta).objective.hex()
-    except RankDeficiencyError as exc:
+    except (RankDeficiencyError, DomainError) as exc:
         return type(exc).__name__, str(exc)
 
 
 @given(n=st.integers(3, 200), seed=st.integers(0, 2 ** 32 - 1),
        tie=st.sampled_from(["none", "exact", "near"]), npts=st.integers(1, 12),
-       stack_bytes=st.sampled_from([1 << 11, 1 << 16]))
+       stack_bytes=st.sampled_from([1 << 11, 1 << 16]), overflow=st.booleans())
+@example(50, 0, "none", 6, 1 << 16, True)
 @settings(max_examples=60, deadline=None)
-def test_stacked_closed_form_equals_chi2_closed_form(n, seed, tie, npts, stack_bytes):
+def test_stacked_closed_form_equals_chi2_closed_form(n, seed, tie, npts, stack_bytes,
+                                                     overflow):
     # ties make the Gram matrix singular (RankDeficiencyError); a near tie
-    # puts its smallest eigenvalue close to the 1e-12 relative cut
+    # puts its smallest eigenvalue close to the 1e-12 relative cut; points
+    # scaled by 1e160 overflow x^2, and the Gram matrix (DomainError)
     rng = np.random.default_rng(seed)
     samples = []
     for _ in range(rng.integers(1, 4)):
@@ -334,6 +373,8 @@ def test_stacked_closed_form_equals_chi2_closed_form(n, seed, tie, npts, stack_b
         if tie == "near":
             x[0] = x[-1] + 10.0 ** -rng.uniform(1.0, 7.0)
         samples.append(WeightedSample.from_points(x))
+    if overflow:
+        samples.insert(rng.integers(len(samples) + 1), overflowing_sample(rng, n))
     problems = [(s, [theta]) for s in samples for theta in rng.uniform(-1.0, 2.0, npts)]
     with pytest.MonkeyPatch.context() as mp:  # small budgets: several stacks
         mp.setattr(dual, "STACK_BYTES", stack_bytes)
@@ -350,14 +391,14 @@ def test_lone_design_goes_to_chi2_closed_form_unstacked(monkeypatch):
     calls = []
 
     def counted(model, sample, theta, A=None):
-        calls.append(theta)
+        calls.append((theta, A is None))
         return chi2_closed_form(model, sample, theta, A)
 
     monkeypatch.setattr(dual, "chi2_closed_form", counted)
     monkeypatch.setattr(dual, "STACK_BYTES", 1)  # one problem a chunk
     got = chi2_objectives(MV, problems)
     assert [v.hex() for v in got] == [v.hex() for v in want]
-    assert calls == [None] * len(problems)
+    assert calls == [(theta, False) for _, theta in problems]
 
 
 def traced_peak(fn):
@@ -386,5 +427,6 @@ def test_grid_raises_a_set_up_error_before_solving_its_chunk(monkeypatch):
         monkeypatch.setattr(dual, name, lambda *args, _name=name: calls.append(_name))
     sample = WeightedSample.from_points(np.random.default_rng(0).uniform(-1.0, 1.0, 50))
     with pytest.raises(ParameterSpaceError, match="outside the parameter box"):
-        next(solve_inner_grid(KLM, MV, sample, [0.3, 0.4, 99.0, 0.5]))
+        next(solve_inner_many(KLM, MV, [(sample, theta, None) for theta in
+                                        [0.3, 0.4, 99.0, 0.5]], hold_errors=False))
     assert calls == []

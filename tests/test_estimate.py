@@ -1,12 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from phidiv import (CHI2, KL, KLM, EstimateOptions, EstimationError,
-                    MomentModel, WeightedSample, estimate, get_model,
-                    profile_gradient, profile_objective)
-from phidiv.estimate import variance_blocks
+from phidiv import (CHI2, KL, KLM, DomainError, EstimateOptions, EstimationError,
+                    MomentModel, PhidivError, WeightedSample, dual, estimate,
+                    family, get_model, profile_gradient, profile_objective)
+from phidiv.estimate import estimate_many, variance_blocks
+from phidiv.inference import test_models as model_tests
+from phidiv.simulate import MC_OPTIONS
 
-from conftest import random_feasible_instance
+from conftest import (estimate_one_at_a_time, mixed_samples, overflowing_sample,
+                      random_feasible_instance)
 
 MEAN = get_model("mean")
 MV = get_model("mean-variance")
@@ -175,3 +182,58 @@ def test_theta0_start_is_used(rng):
     est = estimate(KLM, MV, s, options=opts)
     assert est.divergence_hat >= -1e-10
     assert 0.0 < est.theta_hat[0] < 1.0
+
+
+def fit_bits(result):
+    """Everything estimate returns, or the type and message of what it
+    raises: equal values are bit for bit."""
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    return (result.theta_hat.tobytes(), result.t_hat.tobytes(),
+            float(result.divergence_hat).hex(), float(result.sigma2_hat).hex(),
+            result.inner.u.tobytes(), result.inner.status, result.inner.iterations,
+            result.inner.diagnostics["backtracks"], repr(result.diagnostics))
+
+
+def outcome(fit, *args):
+    try:
+        return fit(*args)
+    except PhidivError as exc:
+        return exc
+
+
+@given(spec=st.sampled_from(["KLm", "KL", "chi2", "hellinger", "power:-0.5",
+                             "power:0.75", "power:3"]),
+       sizes=st.lists(st.one_of(st.integers(1, 12), st.integers(1, 500)),
+                      min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1), n_starts=st.sampled_from([1, 3]),
+       mc=st.booleans(), stack_bytes=st.sampled_from([1 << 11, 1 << 16]))
+@example("KLm", [2, 40], 1, 3, False, 1 << 16)
+@settings(max_examples=30, deadline=None)
+def test_estimates_equal_one_at_a_time_reference(spec, sizes, seed, n_starts, mc,
+                                                 stack_bytes):
+    samples = mixed_samples(np.random.default_rng(seed), sizes)
+    fam = family(spec)
+    options = replace(MC_OPTIONS if mc else EstimateOptions(), n_starts=n_starts)
+    want = [fit_bits(outcome(estimate_one_at_a_time, fam, MV, s, options))
+            for s in samples]
+    with pytest.MonkeyPatch.context() as mp:  # small budgets: several batches
+        mp.setattr(dual, "STACK_BYTES", stack_bytes)
+        assert [fit_bits(r) for r in estimate_many(fam, MV, samples, options)] == want
+        assert [fit_bits(outcome(estimate, fam, MV, s, options)) for s in samples] == want
+
+
+def test_overflowing_sample_fails_alone_in_its_batch():
+    # x^2 overflows on the middle sample: its start pool has no finite Gram
+    # matrix, so it gets a DomainError and the good fits around it stand
+    rng = np.random.default_rng(5)
+    ok = [WeightedSample.from_points(rng.uniform(-1.0, 1.0, 30)) for _ in range(2)]
+    batch = [ok[0], overflowing_sample(rng, 30), ok[1]]
+    with pytest.raises(DomainError, match=r"the Gram matrix at theta = \[[-.e\d]+\] "
+                                          "is not finite: the moment functions overflow") as err:
+        estimate(KLM, MV, batch[1])
+    want = [fit_bits(estimate(KLM, MV, ok[0])), fit_bits(err.value),
+            fit_bits(estimate(KLM, MV, ok[1]))]
+    assert [fit_bits(r) for r in estimate_many(KLM, MV, batch)] == want
+    tests = list(model_tests(KLM, MV, batch))
+    assert [fit_bits(r if isinstance(r, Exception) else r[1]) for r in tests] == want

@@ -169,3 +169,16 @@ def test_generic_power_index():
     for t in np.linspace(-0.45, 3.0, 20):
         assert fam.psi(t) == pytest.approx(numeric_conjugate(fam, t, 1e-9, 60.0),
                                            abs=1e-6)
+
+
+@pytest.mark.parametrize("gamma", [1.5, 3.0, 4.0])
+def test_conjugate_is_flat_below_a_star(gamma):
+    # phi(0) = 1/gamma is finite, so at and below a_star the sup over x >= 0
+    # is reached at x = 0: psi = -1/gamma, and its derivatives vanish
+    fam = power_family(gamma)
+    ts = fam.a_star - np.array([0.0, 1e-3, 0.5, 3.0, 50.0])
+    for t in ts:
+        assert fam.psi(t) == pytest.approx(numeric_conjugate(fam, t, 0.0, 10.0), abs=1e-9)
+    assert (fam.psi(ts) == -1.0 / gamma).all()
+    assert not fam.psi_d1(ts).any() and not fam.psi_d2(ts).any()
+    assert fam.interior()[0] == -math.inf

@@ -18,7 +18,7 @@ from phidiv import test_theta_composite as composite_test
 from phidiv import test_theta_simple as simple_test
 from phidiv import dual, inference
 
-from conftest import el_reduced_solve
+from conftest import el_reduced_solve, mixed_samples
 
 MEAN = get_model("mean")
 MV = get_model("mean-variance")
@@ -69,18 +69,7 @@ def model_test_bits(result):
 @settings(max_examples=30, deadline=None)
 def test_lockstep_model_tests_equal_test_model(spec, sizes, seed, n_starts, mc,
                                                stack_bytes):
-    # samples of one size come in runs, so that they share a lockstep batch;
-    # tied atoms make singular Gram matrices, n <= 2 too few observations,
-    # and non-uniform weights a batch of their own
-    rng = np.random.default_rng(seed)
-    samples = []
-    for n in sizes:
-        for _ in range(rng.integers(1, 4)):
-            kind = rng.integers(4)
-            x = rng.choice(rng.uniform(-1.0, 1.0, 2), n) if kind == 0 else \
-                rng.uniform(-1.0, 1.0 + rng.random(), n)
-            w = rng.dirichlet(np.ones(n)) if kind == 1 else np.full(n, 1.0 / n)
-            samples.append(WeightedSample(x, w))
+    samples = mixed_samples(np.random.default_rng(seed), sizes)
     fam = family(spec)
     options = replace(MC_OPTIONS if mc else EstimateOptions(), n_starts=n_starts)
     with pytest.MonkeyPatch.context() as mp:  # small budgets: several batches
