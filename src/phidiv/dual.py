@@ -37,7 +37,8 @@ class DualSolution:
     t: np.ndarray
     u: np.ndarray = field(repr=False)  # A @ t: the psi arguments at t
     objective: float
-    status: str            # converged | converged-boundary | unbounded | max-iterations
+    # converged | converged-boundary | unbounded | max-iterations | above-stop
+    status: str            # (above-stop: f passed the caller's stop, see _newton)
     iterations: int
     grad_norm: float
     diagnostics: dict
@@ -110,12 +111,15 @@ def _amax(v):
     return max(map(abs, v.tolist()))
 
 
-def _newton(t, tol):
+def _newton(t, tol, stop):
     """The damped Newton's rules, as a generator that never sees A, w or
     the family.
 
     Newton with backtracking kept strictly feasible, from t or, when the
-    criterion f is not finite there, from t = 0.  Every number that depends
+    criterion f is not finite there, from t = 0.  It ends "above-stop" as
+    soon as f exceeds stop, at the start or after an accepted step: an
+    accepted step never lowers f, so the maximum lies above stop too (or
+    the solve would not have converged).  Every number that depends
     on the problem is asked for by yielding (request, argument) and comes
     back through send():
 
@@ -137,6 +141,8 @@ def _newton(t, tol):
     diag = {"ridge_used": False, "backtracks": 0}
     if not math.isfinite(f):
         return t, u, f, "max-iterations", 0, np.inf, diag
+    if f > stop:
+        return t, u, f, "above-stop", 0, np.inf, diag
     gnorm = np.inf
     prev_step = 0.0  # no step yet: no growth
     growth_run = 0
@@ -178,6 +184,9 @@ def _newton(t, tol):
         # fc == f first: a step that makes progress pays one compare
         stalled = fc == f and (cand.view(np.uint64) == t.view(np.uint64)).all()
         t, u, f = cand, ucand, fc
+        if f > stop:
+            status = "above-stop"
+            break
         if f > OBJ_BOUND or _amax(t) > T_BOUND or growth_run >= STEP_GROWTH_RUNS:
             status = "unbounded"
             break
@@ -190,15 +199,15 @@ def _newton(t, tol):
     return t, u, f, status, it, gnorm, diag
 
 
-def _newton_ascent(fam, A, w, t0, tol):
+def _newton_ascent(fam, A, w, t0, tol, stop):
     """_newton on one problem, each request answered as it comes."""
-    gen = _newton(np.array(t0, dtype=float), tol)
+    gen = _newton(np.array(t0, dtype=float), tol, stop)
     request = next(gen)
     try:
         while True:
             request = gen.send(_answer(fam, A, w, *request))
-    except StopIteration as stop:
-        return stop.value
+    except StopIteration as end:
+        return end.value
 
 
 def _answer(fam, A, w, kind, x):
@@ -245,7 +254,7 @@ def _objective_rows(fam, w, U, T):
     return f
 
 
-def _newton_ascent_stack(fam, A, w, t0, tol):
+def _newton_ascent_stack(fam, A, w, t0, tol, stop):
     """_newton on K independent problems at once.
 
     A has shape (K, n, p) and t0 shape (K, p).  Each round answers, with one
@@ -301,7 +310,7 @@ def _newton_ascent_stack(fam, A, w, t0, tol):
         return zip(cand, ucand, fc)
 
     answer = (evaluate, trial, solve, grad_hess)  # indexed by request kind
-    gens = [_newton(t, tol) for t in np.array(t0, dtype=float)]
+    gens = [_newton(t, tol, stop) for t in np.array(t0, dtype=float)]
     requests = [next(gen) for gen in gens]
     results = [None] * K
     live, A_live = list(range(K)), A
@@ -314,8 +323,8 @@ def _newton_ascent_stack(fam, A, w, t0, tol):
         for k, reply in zip(ks, replies):
             try:
                 requests[k] = gens[k].send(reply)
-            except StopIteration as stop:
-                results[k], finished = stop.value, True
+            except StopIteration as end:
+                results[k], finished = end.value, True
         if finished:
             live = [k for k in live if results[k] is None]
             A_live = A[live]
@@ -386,6 +395,7 @@ def chi2_closed_form(model, sample, theta, A=None):
                         {"closed_form": True}, CHI2, w)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in solve_inner_many
 def chi2_objectives(model, problems):
     """chi2_closed_form(model, sample, theta).objective for every (sample,
     theta) of problems, whose samples hold one weight vector, or the error
@@ -500,7 +510,7 @@ def _chunks(model, problems):
     return [problems[i:i + size] for i in range(0, len(problems), size)]
 
 
-def solve_inner_many(fam, model, problems, tol=TOL, hold_errors=True):
+def solve_inner_many(fam, model, problems, tol=TOL, hold_errors=True, stop=math.inf):
     """Maximize the dual criterion at every (sample, theta, init) of
     problems, whose samples hold one weight vector, yielding the
     DualSolutions in order.  A problem's set-up error is yielded in its
@@ -510,7 +520,8 @@ def solve_inner_many(fam, model, problems, tol=TOL, hold_errors=True):
     Damped Newton from init, or by default from the quadratic closed form,
     shrunk into the feasible region, falling back to t = 0 (always
     feasible).  It stops once the gradient is within tol * (1 + |f|), or
-    after MAX_ITER iterations; every trial point keeps its psi arguments
+    after MAX_ITER iterations, or ("above-stop") once f, a lower bound on
+    the maximum, exceeds stop; every trial point keeps its psi arguments
     MARGIN inside dom psi.  For every family but chi2, a moment column of
     one strict sign (see _separated) returns "unbounded" at once: t = 0,
     objective +inf, no Newton iteration.  Empirical likelihood is KLm.
@@ -521,28 +532,32 @@ def solve_inner_many(fam, model, problems, tol=TOL, hold_errors=True):
     chunk goes to _newton_ascent, which is faster for one problem.
     """
     for chunk in _chunks(model, problems):
-        w = chunk[0][0].weights
-        sols, todo, A, t0 = [], [], [], []
-        for sample, theta, init in chunk:
-            try:
-                a, t, sol = _prepare(fam, model, sample, theta, init)
-            except Exception as exc:  # handed to the caller in place of the solution
-                if not hold_errors:
-                    raise
-                a, t, sol = None, None, exc
-            if sol is None:
-                todo.append(len(sols))
-                A.append(a)
-                t0.append(t)
-            sols.append(sol)
-        del a
-        if len(todo) == 1:
-            sols[todo[0]] = DualSolution(*_newton_ascent(fam, A[0], w, t0[0], tol), fam, w)
-        elif todo:
-            A, t0 = np.stack(A), np.stack(t0)
-            for i, res in zip(todo, _newton_ascent_stack(fam, A, w, t0, tol)):
-                sols[i] = DualSolution(*res, fam, w)
-        del A
+        # overflowing moment functions end in a typed error or status, not
+        # a numpy warning; the state is never held across the yield
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = chunk[0][0].weights
+            sols, todo, A, t0 = [], [], [], []
+            for sample, theta, init in chunk:
+                try:
+                    a, t, sol = _prepare(fam, model, sample, theta, init)
+                except Exception as exc:  # handed to the caller in place of the solution
+                    if not hold_errors:
+                        raise
+                    a, t, sol = None, None, exc
+                if sol is None:
+                    todo.append(len(sols))
+                    A.append(a)
+                    t0.append(t)
+                sols.append(sol)
+            del a
+            if len(todo) == 1:
+                sols[todo[0]] = DualSolution(
+                    *_newton_ascent(fam, A[0], w, t0[0], tol, stop), fam, w)
+            elif todo:
+                A, t0 = np.stack(A), np.stack(t0)
+                for i, res in zip(todo, _newton_ascent_stack(fam, A, w, t0, tol, stop)):
+                    sols[i] = DualSolution(*res, fam, w)
+            del A
         yield from sols
 
 

@@ -162,7 +162,8 @@ def confidence_region(fam, model, sample, alpha, grid, options=None):
     fit, which raises the first grid point's set-up error; when a
     converged grid point lies below the fitted minimum by more than the
     fit's tolerance, the fit is redone from the best such point before the
-    statistics are formed.
+    statistics are formed.  A grid solve stops once its criterion rejects
+    the point, with every output kept bit for bit (see the README).
     Returns (accepted_points, empty_flag).
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
@@ -170,9 +171,12 @@ def confidence_region(fam, model, sample, alpha, grid, options=None):
         grid = grid.T
     est = estimate(fam, model, sample, options=options)
     crit = chi2_quantile(1.0 - alpha, model.d)
+    stop = est.divergence_hat + crit / (2.0 * sample.n)
+    stop += 1e-9 * (1.0 + abs(stop))  # past the statistic's rounding: stopped is rejected
     problems = [(sample, theta, est.t_hat) for theta in grid]
     objective = np.array([sol.objective if sol.converged else np.nan for sol in
-                          solve_inner_many(fam, model, problems, hold_errors=False)])
+                          solve_inner_many(fam, model, problems, hold_errors=False,
+                                           stop=stop)])
     converged = ~np.isnan(objective)
     if converged.any():
         best = np.nanargmin(objective)

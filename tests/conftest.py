@@ -6,7 +6,9 @@ Lagrange multipliers, the general primal by brute-force grid search over
 the affine set of feasible weight vectors, the empirical-likelihood dual in
 its reduced form by a Newton ascent of its own, and the conjugate by grid
 maximization.  The fit reference, estimate_one_at_a_time, does use the
-library's pieces, one call at a time, to check the lockstep fit driver.
+library's pieces, one call at a time, to check the lockstep fit driver, and
+confidence_region_unstopped runs every grid solve to its end, to check the
+stop bound of confidence_region.
 """
 
 from dataclasses import dataclass
@@ -17,8 +19,11 @@ import numpy as np
 import pytest
 
 from phidiv import (DomainError, EstimateOptions, EstimationError,
-                    RankDeficiencyError, WeightedSample, chi2_closed_form, get_model)
+                    RankDeficiencyError, WeightedSample, chi2_closed_form, chi2_quantile,
+                    estimate, get_model)
+from phidiv.dual import solve_inner_many
 from phidiv.estimate import _fit, _start_design, profile_objective
+from phidiv.inference import _refit_if_missed
 
 
 def primal_quadratic(model, sample, theta):
@@ -212,6 +217,27 @@ def estimate_one_at_a_time(fam, model, sample, options=None):
             reply = profile_objective(f, model, sample, theta, init, tol)
     except StopIteration as stop:
         return stop.value
+
+
+def confidence_region_unstopped(fam, model, sample, alpha, grid, options=None):
+    """confidence_region with no stop bound: every grid solve runs to its
+    end.  confidence_region must equal it bit for bit, errors included."""
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    if grid.shape[0] == 1 and grid.shape[1] != model.d:
+        grid = grid.T
+    est = estimate(fam, model, sample, options=options)
+    crit = chi2_quantile(1.0 - alpha, model.d)
+    problems = [(sample, theta, est.t_hat) for theta in grid]
+    objective = np.array([sol.objective if sol.converged else np.nan for sol in
+                          solve_inner_many(fam, model, problems, hold_errors=False)])
+    converged = ~np.isnan(objective)
+    if converged.any():
+        best = np.nanargmin(objective)
+        est, _ = _refit_if_missed(fam, model, sample, est, grid[best], objective[best],
+                                  options)
+    stat = 2.0 * sample.n * (objective[converged] - est.divergence_hat)
+    pts = grid[converged][stat <= crit].reshape(-1, model.d)
+    return pts, pts.shape[0] == 0
 
 
 def mixed_samples(rng, sizes):

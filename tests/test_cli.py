@@ -1,11 +1,13 @@
 import json
 import os
+import subprocess
 import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import phidiv
 from phidiv.cli import main
 
 
@@ -132,14 +134,33 @@ def test_model_test_l_equals_d_is_numeric_error(capsys, data_csv):
     assert payload["kind"] == "numeric"
 
 
-def test_overflowing_moments_are_numeric_error(capsys, tmp_path):
+@pytest.fixture
+def big_csv(tmp_path):
+    """30 points of magnitude up to 1e160: x^2 overflows to inf."""
     p = tmp_path / "big.csv"
     x = np.random.default_rng(5).uniform(-1.0, 1.01, 30) * 1e160
     p.write_text("\n".join(f"{v:.17g}" for v in x) + "\n")
-    code, payload = run(capsys, "test", "model", "--data", str(p))
+    return p
+
+
+def test_overflowing_moments_are_numeric_error(capsys, big_csv):
+    code, payload = run(capsys, "test", "model", "--data", str(big_csv))
     assert code == 3
     assert payload["kind"] == "numeric"
     assert "the moment functions overflow" in payload["error"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["test", "model"], 3), (["estimate"], 3), (["confidence", "--grid", "0.1:0.9:9"], 3),
+    (["test", "theta", "--theta", "0.3"], 0)])
+def test_overflowing_moments_print_no_numpy_warning(big_csv, argv, code):
+    # a process of its own, so that stderr is what a user sees
+    src = os.path.dirname(os.path.dirname(phidiv.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    proc = subprocess.run([sys.executable, "-m", "phidiv.cli", *argv, "--data", str(big_csv)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == code
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_test_subcommands(capsys, data_csv):

@@ -348,8 +348,9 @@ def test_grid_solve_equals_solve_inner_bit_for_bit(gamma, model_name, n, seed, t
 
 
 def closed_form_bits(model, sample, theta):
-    try:
-        return chi2_closed_form(model, sample, theta).objective.hex()
+    try:  # chi2_objectives keeps numpy quiet on overflowing moments; so does this
+        with np.errstate(over="ignore", invalid="ignore"):
+            return chi2_closed_form(model, sample, theta).objective.hex()
     except (RankDeficiencyError, DomainError) as exc:
         return type(exc).__name__, str(exc)
 
@@ -430,3 +431,30 @@ def test_grid_raises_a_set_up_error_before_solving_its_chunk(monkeypatch):
         next(solve_inner_many(KLM, MV, [(sample, theta, None) for theta in
                                         [0.3, 0.4, 99.0, 0.5]], hold_errors=False))
     assert calls == []
+
+
+@pytest.mark.parametrize("spec", ["KLm", "KL", "hellinger", "chi2", "power:1.5"])
+@pytest.mark.parametrize("n", [50, 200])
+def test_stop_bound_ends_only_solves_whose_maximum_lies_above_it(spec, n):
+    # a solve stopped at the bound is above it, and its full run ended at or
+    # above the stopped criterion, or did not converge; every other solve,
+    # lone or stacked, is the full run bit for bit
+    fam = family(spec)
+    s = WeightedSample.from_points(np.random.default_rng(n).uniform(-1.0, 1.2, n))
+    init = solve_inner(fam, MV, s, [0.35]).t
+    problems = [(s, [theta], init) for theta in np.linspace(0.05, 0.95, 19)]
+    full = list(solve_inner_many(fam, MV, problems))
+    stop = float(np.median([sol.objective for sol in full if sol.converged]))
+    lone = [next(solve_inner_many(fam, MV, [p], stop=stop)) for p in problems]
+    stacked = list(solve_inner_many(fam, MV, problems, stop=stop))
+    for got in (lone, stacked):
+        stopped = 0
+        for sol, want in zip(got, full):
+            if sol.status == "above-stop":
+                stopped += 1
+                assert sol.objective > stop and sol.weights is None
+                assert not want.converged or want.objective >= sol.objective
+            else:
+                assert solution_bits(sol) == solution_bits(want)
+        assert 0 < stopped < len(problems)
+    assert all(sol.status != "above-stop" for sol in full)

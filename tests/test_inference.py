@@ -18,7 +18,7 @@ from phidiv import test_theta_composite as composite_test
 from phidiv import test_theta_simple as simple_test
 from phidiv import dual, inference
 
-from conftest import el_reduced_solve, mixed_samples
+from conftest import confidence_region_unstopped, el_reduced_solve, mixed_samples
 
 MEAN = get_model("mean")
 MV = get_model("mean-variance")
@@ -144,16 +144,40 @@ def test_composite_statistic_minimized_at_thetahat(rng):
         assert rep.statistic >= base - 1e-6
 
 
-def test_statistics_permutation_invariant(rng):
+# invariance holds up to rounding: the sums run in another order
+@pytest.mark.parametrize("spec", ["KLm", "KL", "chi2", "hellinger"])
+def test_statistics_permutation_invariant(spec, rng):
+    fam = family(spec)
     x = rng.uniform(-1.0, 1.2, size=80)
     s1 = WeightedSample.from_points(x)
     s2 = WeightedSample.from_points(x[rng.permutation(80)])
-    r1, _ = model_test(KLM, MV, s1, 0.05, options=FAST)
-    r2, _ = model_test(KLM, MV, s2, 0.05, options=FAST)
+    r1, _ = model_test(fam, MV, s1, 0.05, options=FAST)
+    r2, _ = model_test(fam, MV, s2, 0.05, options=FAST)
     assert r1.statistic == pytest.approx(r2.statistic, abs=1e-8)
-    t1 = simple_test(CHI2, MV, s1, [0.4], 0.05)
-    t2 = simple_test(CHI2, MV, s2, [0.4], 0.05)
+    t1 = simple_test(fam, MV, s1, [0.4], 0.05)
+    t2 = simple_test(fam, MV, s2, [0.4], 0.05)
     assert t1.statistic == pytest.approx(t2.statistic, abs=1e-8)
+    c1 = composite_test(fam, MV, s1, [0.4], 0.05, options=FAST)
+    c2 = composite_test(fam, MV, s2, [0.4], 0.05, options=FAST)
+    assert c1.statistic == pytest.approx(c2.statistic, abs=1e-8)
+
+
+@pytest.mark.parametrize("spec", ["KLm", "KL", "chi2", "hellinger"])
+@pytest.mark.parametrize("shift", [-3.5, 0.75, 6.0])
+def test_mean_model_statistics_shift_invariant(spec, shift, rng):
+    # the mean model's moment x - theta is unchanged when the data and theta
+    # move by one c; theta + c stays inside the box [-10, 10]
+    fam = family(spec)
+    x = rng.uniform(-1.0, 1.2, size=80)
+    theta = np.array([0.3])
+    s1 = WeightedSample.from_points(x)
+    s2 = WeightedSample.from_points(x + shift)
+    t1 = simple_test(fam, MEAN, s1, theta, 0.05)
+    t2 = simple_test(fam, MEAN, s2, theta + shift, 0.05)
+    assert t1.statistic == pytest.approx(t2.statistic, abs=1e-8)
+    c1 = composite_test(fam, MEAN, s1, theta, 0.05, options=FAST)
+    c2 = composite_test(fam, MEAN, s2, theta + shift, 0.05, options=FAST)
+    assert c1.statistic == pytest.approx(c2.statistic, abs=1e-8)
 
 
 def test_el_ratio_agrees_with_reduced_formulation(rng):
@@ -270,6 +294,54 @@ def test_confidence_region_refits_when_fit_missed_the_minimum():
     missed, _ = confidence_region(KLM, MV, MISSED, 0.05, grid, options=ONE_STEP)
     full, _ = confidence_region(KLM, MV, MISSED, 0.05, grid)
     assert missed.tolist() == full.tolist() and full.size == 12
+
+
+def region_bits(fam, model, sample, alpha, grid, options, region):
+    """What region (confidence_region or its reference) returns, or the type
+    and message of what it raises: equal values are bit for bit."""
+    try:
+        pts, empty = region(fam, model, sample, alpha, grid, options)
+    except PhidivError as exc:
+        return type(exc).__name__, str(exc)
+    return pts.tobytes(), pts.shape, empty
+
+
+GRIDS = {"mean": np.linspace(-1.2, 1.4, 53), "mean-variance": np.linspace(0.02, 1.5, 53)}
+
+
+@pytest.mark.parametrize("spec", ["KLm", "KL", "hellinger", "chi2", "power:1.5",
+                                  "chi2m", "power:3"])
+@pytest.mark.parametrize("model_name", ["mean", "mean-variance"])
+def test_confidence_region_equals_unstopped_solves(spec, model_name):
+    # the grid solves stop once a point is certainly rejected: the accepted
+    # points, the empty flag, the refit and the errors stay bit for bit
+    fam, model, grid = family(spec), get_model(model_name), GRIDS[model_name]
+    rng = np.random.default_rng(7)
+    nonempty = 0
+    for n in (6, 50, 200):
+        spread = rng.uniform(-1.0, 1.2, n)
+        for x in (spread, rng.choice(spread[:3], n)):  # and tied atoms
+            sample = WeightedSample.from_points(x)
+            for alpha in (0.05, 0.5):
+                got = region_bits(fam, model, sample, alpha, grid, FAST, confidence_region)
+                assert got == region_bits(fam, model, sample, alpha, grid, FAST,
+                                          confidence_region_unstopped)
+                nonempty += len(got) == 3 and not got[2]
+    assert nonempty >= 4
+
+
+def test_confidence_region_with_refit_equals_unstopped_solves(monkeypatch):
+    grid = np.linspace(0.05, 0.95, 81)
+    fits, statuses = [], []
+    fit, solve = inference.estimate, inference.solve_inner_many
+    monkeypatch.setattr(inference, "estimate", lambda *a, **k: fits.append(1) or fit(*a, **k))
+    monkeypatch.setattr(inference, "solve_inner_many", lambda *a, **k: [
+        statuses.append(sol.status) or sol for sol in solve(*a, **k)])
+    got = region_bits(KLM, MV, MISSED, 0.05, grid, ONE_STEP, confidence_region)
+    assert len(fits) == 2  # the refit fired
+    assert 0 < statuses.count("above-stop") < len(grid) - 12  # 12 points accepted
+    assert got == region_bits(KLM, MV, MISSED, 0.05, grid, ONE_STEP,
+                              confidence_region_unstopped)
 
 
 def test_power_approx_values():
