@@ -365,6 +365,7 @@ def _chi2_system(A, w):
     return gram, rhs
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in solve_inner_many
 def chi2_closed_form(model, sample, theta, A=None):
     """Exact dual solution for the quadratic family via one linear solve;
     A, when given, is the design matrix at theta, already checked.  Raises

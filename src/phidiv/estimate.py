@@ -131,12 +131,12 @@ def _start_design(model, options):
 
 def _outer_minimize(fam, model, sample, theta0, options):
     """Projected BFGS descent of the profile from one start; each inner
-    solve is asked for by yielding (fam, theta, init, tol) and answered
-    with profile_objective's (value, solution)."""
+    solve is asked for by yielding (fam, theta, init) and answered with
+    profile_objective's (value, solution) at options.inner_tol."""
     lo, hi = model.theta_lo, model.theta_hi
     d = model.d
     theta = model.clip_theta(theta0)
-    val, sol = yield fam, theta, None, options.inner_tol
+    val, sol = yield fam, theta, None
     if not np.isfinite(val):
         return None, {"start": theta.tolist(), "reason": f"infeasible start ({sol.status})"}
     grad = _envelope_grad(model, sample, theta, sol.weights, sol.t)
@@ -158,7 +158,7 @@ def _outer_minimize(fam, model, sample, theta0, options):
             s = cand - theta
             if abs(s).max() < 1e-14 * (1.0 + abs(theta).max()):
                 break
-            cval, csol = yield fam, cand, sol.t, options.inner_tol
+            cval, csol = yield fam, cand, sol.t
             if cval <= val + 1e-4 * float(grad @ s):
                 accepted = True
                 break
@@ -312,10 +312,11 @@ def _lockstep(fam, model, samples, options):
     its lead start is the candidate of least quadratic profile (a singular
     Gram matrix scores inf), and any other scoring error is its result.
     Then one _fit generator per sample asks for its inner solves, and each
-    round answers every pending request of one family and tolerance with
-    one solve_inner_many call.  These keys go in the order they first
-    appeared, which keeps the fits in step: the quadratic search, then the
-    fit proper.  An error in answering one fit is thrown into its generator.
+    round answers every pending request of one family with one
+    solve_inner_many call at options.inner_tol.  The quadratic search, which
+    every _fit runs first, is answered while any fit waits on it, which
+    keeps the fits in step.  An error in answering one fit is thrown into
+    its generator.
     """
     out = [EstimationError(f"need more observations ({sample.n}) than moment "
                            f"functions ({model.l})") if sample.n <= model.l else None
@@ -324,18 +325,17 @@ def _lockstep(fam, model, samples, options):
     pool, extra = _start_design(model, options)
     scores = iter(chi2_objectives(model, [(samples[i], theta) for i in sized
                                           for theta in pool]))
-    fits, requests, rank, waiting = {}, {}, {}, {}
+    fits, waiting = {}, {CHI2: [], fam: []}  # (i, theta, init) per family
 
     def advance(i, reply=None, error=None):
         try:
-            x = fits[i].send(reply) if error is None else fits[i].throw(error)
+            f, theta, init = fits[i].send(reply) if error is None else fits[i].throw(error)
         except StopIteration as stop:
             out[i] = stop.value
         except PhidivError as exc:
             out[i] = exc
-        else:  # wait with the fits asking for the same (fam, tol)
-            requests[i] = x
-            waiting.setdefault(rank.setdefault((x[0], x[3]), len(rank)), []).append(i)
+        else:
+            waiting[f].append((i, theta, init))
 
     for i in sized:
         vals = [next(scores) for _ in pool]
@@ -348,14 +348,18 @@ def _lockstep(fam, model, samples, options):
             advance(i)
         elif not isinstance(out[i], PhidivError):
             raise out[i]
-    while waiting:  # the (fam, tol) that appeared first
-        ids = waiting.pop(min(waiting))
-        xs = [requests[i] for i in ids]
-        sols = solve_inner_many(xs[0][0], model, [(samples[i], x[1], x[2]) for i, x
-                                                  in zip(ids, xs)], xs[0][3])
-        for i, sol in zip(ids, sols):
+    while True:  # one round: the first family with waiting fits, CHI2 first
+        for f, queue in waiting.items():
+            if queue:
+                break
+        else:
+            return out
+        batch = queue.copy()
+        queue.clear()
+        sols = solve_inner_many(f, model, [(samples[i], theta, init)
+                                           for i, theta, init in batch], options.inner_tol)
+        for (i, _, _), sol in zip(batch, sols):
             if isinstance(sol, Exception):
                 advance(i, error=sol)
             else:
                 advance(i, _profile(sol))
-    return out

@@ -56,30 +56,13 @@ class DivergenceFamily:
     # Array-friendly derivative evaluators.  Callers (the dual solver) are
     # responsible for feasibility; out-of-domain entries come back inf/nan.
     def psi_d1(self, t):
-        g = self.gamma
         t = np.asarray(t, dtype=float)
-        if g == 2.0:
-            return 1.0 + t
-        if g == 1.0:
-            with np.errstate(over="ignore"):
-                return np.exp(t)
-        base = (g - 1.0) * t + 1.0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            d1 = base ** (1.0 / (g - 1.0))
-        return np.where(base > 0.0, d1, 0.0) if g > 1.0 else d1  # flat below a_star
+        return 1.0 + t if self.gamma == 2.0 else _psi_power_d(self.gamma, t, 1.0)
 
     def psi_d2(self, t):
-        g = self.gamma
         t = np.asarray(t, dtype=float)
-        if g == 2.0:
-            return np.ones_like(t)
-        if g == 1.0:
-            with np.errstate(over="ignore"):
-                return np.exp(t)
-        base = (g - 1.0) * t + 1.0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            d2 = base ** ((2.0 - g) / (g - 1.0))
-        return np.where(base > 0.0, d2, 0.0) if g > 1.0 else d2
+        return np.ones_like(t) if self.gamma == 2.0 else \
+            _psi_power_d(self.gamma, t, 2.0 - self.gamma)
 
     def interior(self, margin=1e-10):
         """Bounds (lo, hi) of dom psi shrunk by an absolute margin at a
@@ -100,6 +83,19 @@ def _as_like(x, arr):
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(np.asarray(arr).reshape(-1)[0])
     return np.asarray(arr)
+
+
+def _psi_power_d(g, t, num):
+    """psi' (num = 1) or psi'' (num = 2 - g) of the family g != 2: exp(t)
+    for g = 1, else ((g - 1) t + 1) ** (num / (g - 1)), flat (0) below
+    a_star for g > 1."""
+    if g == 1.0:
+        with np.errstate(over="ignore"):
+            return np.exp(t)
+    base = (g - 1.0) * t + 1.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d = base ** (num / (g - 1.0))
+    return np.where(base > 0.0, d, 0.0) if g > 1.0 else d
 
 
 def _phi_arr(g, x):

@@ -19,7 +19,7 @@ than as an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -44,20 +44,7 @@ class TestReport:
     flag: str | None = None
 
     def to_dict(self):
-        out = {
-            "kind": self.kind,
-            "statistic": self.statistic,
-            "df": self.df,
-            "p_value": self.p_value,
-            "critical_value": self.critical_value,
-            "alpha": self.alpha,
-            "decision": self.decision,
-        }
-        if self.variance_sigma2 is not None:
-            out["variance_sigma2"] = self.variance_sigma2
-        if self.flag is not None:
-            out["flag"] = self.flag
-        return out
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _report(kind, stat, df, alpha, sigma2=None, flag=None):

@@ -5,10 +5,10 @@ Every replicate draws its own random stream from the tuple
 results are a pure function of the plan and independent of execution order
 or worker count.  The replicates of every cell of one sample size n are
 fitted together, in lockstep batches (inference.test_models), each
-replicate bit for bit as fitted alone.  With threads > 1 each size's stream
-of replicates is cut into up to `threads` pieces on batch boundaries, the
-pieces are farmed out to a process pool, and their counts are summed per
-cell.
+replicate bit for bit as fitted alone, whatever batch it is in.  With
+threads > 1 each size's stream of replicates is cut into up to `threads`
+near-equal pieces, the pieces are farmed out to a process pool, and their
+counts are summed per cell.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from itertools import repeat
 
 import numpy as np
 
-from .dual import stack_size
 from .errors import PhidivError
 from .estimate import EstimateOptions, estimate
 from .families import family as resolve_family
@@ -96,16 +95,12 @@ def generate(plan, cell, replicate):
 def _pieces(plan, threads):
     """Work items (n, start, stop): the stream of every sample size n (its
     cells' replicates, cell-major) cut into at most `threads` consecutive
-    pieces on lockstep batch boundaries, so that every batch is the one a
-    single pass fits.  Largest n first, as they cost most."""
-    model = get_model(plan.model)
+    near-equal pieces.  Largest n first, as they cost most."""
     items = []
     for n in sorted(set(plan.n_list), reverse=True):
         total = plan.n_list.count(n) * len(plan.epsilon_grid) * plan.runs
-        batch = stack_size(model, n)
-        batches = -(-total // batch)
-        k = min(threads, batches)
-        cuts = [min(total, batch * (batches * j // k)) for j in range(k + 1)]
+        k = min(threads, total)
+        cuts = [total * j // k for j in range(k + 1)]
         items.extend((n, lo, hi) for lo, hi in zip(cuts, cuts[1:]))
     return items
 

@@ -213,8 +213,8 @@ def estimate_one_at_a_time(fam, model, sample, options=None):
     reply = None
     try:
         while True:
-            f, theta, init, tol = fit.send(reply)
-            reply = profile_objective(f, model, sample, theta, init, tol)
+            f, theta, init = fit.send(reply)
+            reply = profile_objective(f, model, sample, theta, init, options.inner_tol)
     except StopIteration as stop:
         return stop.value
 

@@ -107,6 +107,14 @@ def test_chi2_closed_form_singular():
         chi2_closed_form(MEAN, s, [1.0])
 
 
+def test_chi2_closed_form_overflow_is_domain_error_without_warning():
+    # x^2 overflows: the Gram matrix is not finite, and numpy stays quiet
+    # (a RuntimeWarning fails the suite)
+    s = overflowing_sample(np.random.default_rng(4), 30)
+    with pytest.raises(DomainError, match="the moment functions overflow"):
+        chi2_closed_form(MV, s, [0.3])
+
+
 def test_solve_inner_exact_fit():
     for fam in (KLM, KL, CHI2, HELLINGER):
         sol = solve_inner(fam, MEAN, S02, [1.0])
@@ -348,9 +356,8 @@ def test_grid_solve_equals_solve_inner_bit_for_bit(gamma, model_name, n, seed, t
 
 
 def closed_form_bits(model, sample, theta):
-    try:  # chi2_objectives keeps numpy quiet on overflowing moments; so does this
-        with np.errstate(over="ignore", invalid="ignore"):
-            return chi2_closed_form(model, sample, theta).objective.hex()
+    try:
+        return chi2_closed_form(model, sample, theta).objective.hex()
     except (RankDeficiencyError, DomainError) as exc:
         return type(exc).__name__, str(exc)
 

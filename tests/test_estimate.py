@@ -1,3 +1,4 @@
+import importlib
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from phidiv import (CHI2, KL, KLM, DomainError, EstimateOptions, EstimationError,
                     MomentModel, PhidivError, WeightedSample, dual, estimate,
                     family, get_model, profile_gradient, profile_objective)
-from phidiv.estimate import estimate_many, variance_blocks
+from phidiv.dual import solve_inner_many
+from phidiv.estimate import _lockstep, estimate_many, variance_blocks
 from phidiv.inference import test_models as model_tests
 from phidiv.simulate import MC_OPTIONS
 
@@ -237,3 +239,36 @@ def test_overflowing_sample_fails_alone_in_its_batch():
     assert [fit_bits(r) for r in estimate_many(KLM, MV, batch)] == want
     tests = list(model_tests(KLM, MV, batch))
     assert [fit_bits(r if isinstance(r, Exception) else r[1]) for r in tests] == want
+
+
+@pytest.mark.parametrize("fam", [KLM, KL, CHI2], ids=lambda f: f.name)
+def test_lockstep_answers_the_quadratic_search_first(fam, monkeypatch):
+    # each round answers every waiting fit of one family, the quadratic
+    # search's first: with two families every chi2 round comes before the
+    # first fit-family round, and each family takes as many rounds as its
+    # slowest fit alone; with chi2 fits both searches share the rounds
+    rng = np.random.default_rng(8)
+    samples = [WeightedSample.from_points(rng.uniform(-1.0, 1.0 + 0.3 * k, 40))
+               for k in range(5)]
+
+    def rounds(batch):
+        calls = []
+
+        def recorded(f, model, problems, tol):
+            calls.append(f)
+            return solve_inner_many(f, model, problems, tol)
+
+        monkeypatch.setattr(importlib.import_module("phidiv.estimate"),
+                            "solve_inner_many", recorded)
+        _lockstep(fam, MV, batch, FAST)
+        return calls
+
+    calls = rounds(samples)
+    alone = [rounds([s]) for s in samples]
+    quadratic = calls.count(CHI2)
+    assert calls == [CHI2] * quadratic + [fam] * (len(calls) - quadratic)
+    if fam == CHI2:
+        assert len(calls) == max(len(a) for a in alone)
+    else:
+        assert quadratic == max(a.count(CHI2) for a in alone) > 0
+        assert len(calls) - quadratic == max(a.count(fam) for a in alone) > 0

@@ -88,19 +88,20 @@ class RecordingPool:
         return map(fn, *iterables)
 
 
-def test_mc_power_farms_out_batch_aligned_pieces(monkeypatch):
+def test_mc_power_farms_out_near_equal_pieces(monkeypatch):
     made = []
     monkeypatch.setattr(simulate, "ProcessPoolExecutor",
                         lambda max_workers: RecordingPool(made, max_workers))
-    monkeypatch.setattr(dual, "STACK_BYTES", 1 << 12)  # batches of 3 at n = 50, 5 at n = 30
+    # batches of 3 at n = 50 and 5 at n = 30, so that the cuts split batches
+    monkeypatch.setattr(dual, "STACK_BYTES", 1 << 12)
     plan = replace(SMALL, n_list=(50, 30, 50), runs=3)
     serial = mc_power(plan)
     assert made == []
-    assert simulate._pieces(plan, 3) == [(50, 0, 3), (50, 3, 6), (50, 6, 12),
-                                         (30, 0, 5), (30, 5, 6)]
+    assert simulate._pieces(plan, 3) == [(50, 0, 4), (50, 4, 8), (50, 8, 12),
+                                         (30, 0, 2), (30, 2, 4), (30, 4, 6)]
     assert mc_power(plan, threads=3) == serial
-    assert mc_power(plan, threads=64) == serial  # one piece per batch
-    assert made == [3, 6]
+    assert mc_power(plan, threads=64) == serial  # one piece per replicate
+    assert made == [3, 18]
 
 
 def test_discretize_uniform():
