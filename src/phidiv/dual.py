@@ -562,11 +562,11 @@ def solve_inner_many(fam, model, problems, tol=TOL, hold_errors=True, stop=math.
         yield from sols
 
 
-def solve_inner(fam, model, sample, theta, init=None, tol=TOL):
-    """The inner solve at one theta: solve_inner_many of one problem, its
+def solve_inner(fam, model, sample, theta):
+    """The inner solve at one theta, cold (from the quadratic closed form)
+    and at the default tolerance TOL: solve_inner_many of one problem, its
     set-up errors raised."""
-    return next(solve_inner_many(fam, model, [(sample, theta, init)], tol,
-                                 hold_errors=False))
+    return next(solve_inner_many(fam, model, [(sample, theta, None)], hold_errors=False))
 
 
 def criterion_variance(fam, w, u, t0):

@@ -68,28 +68,27 @@ class EstimationResult:
         """Per-coordinate standard errors sqrt(V_ii / n)."""
         return np.sqrt(np.clip(np.diag(self.V_hat), 0.0, None) / n)
 
-    def to_dict(self, n=None):
-        out = {
+    def to_dict(self, n):
+        """JSON-ready fields, with the standard errors of a sample of n."""
+        return {
             "theta_hat": [float(v) for v in self.theta_hat],
             "t_hat": [float(v) for v in self.t_hat],
             "divergence_hat": float(self.divergence_hat),
             "sigma2_hat": float(self.sigma2_hat),
             "V_hat": self.V_hat.tolist(),
             "diagnostics": self.diagnostics,
+            "stderr": [float(v) for v in self.stderr(n)],
         }
-        if n is not None:
-            out["stderr"] = [float(v) for v in self.stderr(n)]
-        return out
 
 
-def profile_objective(fam, model, sample, theta, init_t=None, inner_tol=TOL):
-    """Inner dual maximum at theta, with the inner solution.
+def profile_objective(fam, model, sample, theta):
+    """Inner dual maximum at theta, with the inner solution of solve_inner.
 
     An inner solve that did not converge (stopped at the domain boundary,
     unbounded or stalled) yields +inf; the solution object carries the
     status, so the outer search can steer away without aborting.
     """
-    return _profile(solve_inner(fam, model, sample, theta, init=init_t, tol=inner_tol))
+    return _profile(solve_inner(fam, model, sample, theta))
 
 
 def _profile(sol):
@@ -132,7 +131,8 @@ def _start_design(model, options):
 def _outer_minimize(fam, model, sample, theta0, options):
     """Projected BFGS descent of the profile from one start; each inner
     solve is asked for by yielding (fam, theta, init) and answered with
-    profile_objective's (value, solution) at options.inner_tol."""
+    the (value, solution) of _profile, solved from init at
+    options.inner_tol."""
     lo, hi = model.theta_lo, model.theta_hi
     d = model.d
     theta = model.clip_theta(theta0)

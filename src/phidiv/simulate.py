@@ -1,21 +1,24 @@
 """Seeded Monte Carlo harness: calibration, empirical power, power curves.
 
-Every replicate draws its own random stream from the tuple
-(master seed, cell index, replicate index) through numpy's SeedSequence, so
-results are a pure function of the plan and independent of execution order
-or worker count.  The replicates of every cell of one sample size n are
-fitted together, in lockstep batches (inference.test_models), each
-replicate bit for bit as fitted alone, whatever batch it is in.  With
-threads > 1 each size's stream of replicates is cut into up to `threads`
-near-equal pieces, the pieces are farmed out to a process pool, and their
-counts are summed per cell.
+The samples of the cell (epsilon, n) are drawn from the uniform law on
+[LO, HI + epsilon] = [-1, 1 + epsilon], the alternatives of the paper's
+Figure 1; epsilon = 0 satisfies the mean-variance model.  Every replicate
+draws its own random stream from the tuple (master seed, cell index,
+replicate index) through numpy's SeedSequence, so results are a pure
+function of the plan and independent of execution order or worker count.
+The replicates of every cell of one sample size n are fitted together, in
+lockstep batches (inference.test_models), each replicate bit for bit as
+fitted alone, whatever batch it is in.  With threads > 1 each size's
+stream of replicates is cut into up to `threads` near-equal pieces, the
+pieces are farmed out to a process pool, and their counts are summed per
+cell.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -31,11 +34,12 @@ DEFAULT_RUNS = 1000
 DEFAULT_EPS_GRID = tuple(np.round(np.linspace(0.1, 1.0, 10), 10))
 MC_OPTIONS = EstimateOptions(n_starts=1, outer_tol=1e-7, outer_max_iter=60,
                              inner_tol=1e-8)
+LO, HI = -1.0, 1.0   # the alternative of epsilon is uniform on [LO, HI + epsilon]
+ATOMS = 10_000       # midpoints discretizing it for the analytic power curve
 
 
 @dataclass(frozen=True)
 class SimulationPlan:
-    generator: tuple = ("uniform", -1.0, 1.0)
     model: str = "mean-variance"
     family: str = "KLm"
     n_list: tuple = DEFAULT_N_LIST
@@ -51,45 +55,25 @@ class SimulationPlan:
         if any(n <= moments for n in self.n_list):
             raise ValueError(f"every sample size in n_list must exceed {moments}, the "
                              "model's number of moment functions")
-        if self.generator[0] not in ("uniform", "normal", "atoms"):
-            raise ValueError(f"unknown generator {self.generator[0]!r}")
+        if not self.epsilon_grid:
+            raise ValueError("epsilon_grid is empty")
+        if not all(math.isfinite(eps) and HI + eps > LO for eps in self.epsilon_grid):
+            raise ValueError(f"every epsilon must be finite and above {LO - HI:g}, "
+                             "so that the uniform interval is not degenerate")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie in (0, 1)")
 
     def cells(self):
         """(epsilon, n) pairs in deterministic order, epsilon-major."""
         return [(eps, n) for eps in self.epsilon_grid for n in self.n_list]
 
 
-def _cell_distribution(plan, eps):
-    kind = plan.generator[0]
-    if kind == "uniform":
-        lo, hi = float(plan.generator[1]), float(plan.generator[2])
-        if hi + eps <= lo:
-            raise ValueError("degenerate uniform interval")
-        return ("uniform", lo, hi + eps)
-    if kind == "normal":
-        mu, sd = float(plan.generator[1]), float(plan.generator[2])
-        if sd <= 0.0:
-            raise ValueError("normal scale must be positive")
-        return ("normal", mu + eps, sd)
-    return plan.generator  # user atoms: epsilon ignored
-
-
 def generate(plan, cell, replicate):
     """Draw the sample for one (cell, replicate); counter-style substream."""
-    cells = plan.cells()
-    eps, n = cells[cell]
+    eps, n = plan.cells()[cell]
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence((plan.seed, cell, replicate))))
-    dist = _cell_distribution(plan, eps)
-    if dist[0] == "uniform":
-        x = rng.uniform(dist[1], dist[2], size=n)
-    elif dist[0] == "normal":
-        x = rng.normal(dist[1], dist[2], size=n)
-    else:
-        pts = np.asarray(dist[1], dtype=float)
-        w = np.asarray(dist[2], dtype=float)
-        x = rng.choice(pts, size=n, p=w / w.sum())
-    return WeightedSample.from_points(x)
+    return WeightedSample.from_points(rng.uniform(LO, HI + eps, size=n))
 
 
 def _pieces(plan, threads):
@@ -159,23 +143,21 @@ def discretize_uniform(lo, hi, atoms):
     return WeightedSample(mids, np.full(atoms, 1.0 / atoms))
 
 
-def approx_power_curve(plan, atoms=10_000):
+def approx_power_curve(plan):
     """Analytic power approximation for every cell of the plan.
 
-    Discretizes the alternative, computes the population divergence and the
-    criterion standard deviation at the pseudo-true parameter, then applies
-    the normal power formula.  At epsilon = 0 the divergence degenerates to
-    zero and the cell reports the nominal level by convention.
+    Discretizes the alternative at ATOMS midpoints, computes the population
+    divergence and the criterion standard deviation at the pseudo-true
+    parameter, then applies the normal power formula.  At epsilon = 0 the
+    divergence degenerates to zero and the cell reports the nominal level
+    by convention.
     """
     model = get_model(plan.model)
     fam = resolve_family(plan.family)
     df = model.l - model.d
     rows = []
     for eps in plan.epsilon_grid:
-        dist = _cell_distribution(plan, eps)
-        if dist[0] != "uniform":
-            raise ValueError("analytic power curve supports uniform alternatives")
-        p0 = discretize_uniform(dist[1], dist[2], atoms)
+        p0 = discretize_uniform(LO, HI + eps, ATOMS)
         try:
             est = estimate(fam, model, p0, options=MC_OPTIONS)
             div = max(est.divergence_hat, 0.0)
@@ -204,8 +186,8 @@ def reproduce_figure1(seed, out_path=None, family="KLm",
     """
     if epsilon_grid is None:
         epsilon_grid = DEFAULT_EPS_GRID
-    plan = SimulationPlan(("uniform", -1.0, 1.0), "mean-variance", family,
-                          tuple(n_list), runs, alpha, tuple(epsilon_grid), seed)
+    plan = SimulationPlan(family=family, n_list=tuple(n_list), runs=runs, alpha=alpha,
+                          epsilon_grid=tuple(epsilon_grid), seed=seed)
     mc_rows = mc_power(plan, threads=threads)
     ap_rows = approx_power_curve(plan)
     approx = {(r["epsilon"], r["n"]): r["approx_power"] for r in ap_rows}

@@ -22,7 +22,7 @@ from phidiv import (DomainError, EstimateOptions, EstimationError,
                     RankDeficiencyError, WeightedSample, chi2_closed_form, chi2_quantile,
                     estimate, get_model)
 from phidiv.dual import solve_inner_many
-from phidiv.estimate import _fit, _start_design, profile_objective
+from phidiv.estimate import _fit, _profile, _start_design
 from phidiv.inference import _refit_if_missed
 
 
@@ -195,8 +195,8 @@ def estimate_one_at_a_time(fam, model, sample, options=None):
     """estimate with nothing batched: the start pool scored theta by theta
     by chi2_closed_form (a singular Gram matrix scores inf, any other error
     is raised), then the fit generator's inner solves answered one by one
-    by profile_objective.  estimate and estimate_many must equal it bit for
-    bit."""
+    by solve_inner_many on one problem, its set-up errors raised.  estimate
+    and estimate_many must equal it bit for bit."""
     options = options or EstimateOptions()
     if sample.n <= model.l:
         raise EstimationError(
@@ -214,7 +214,8 @@ def estimate_one_at_a_time(fam, model, sample, options=None):
     try:
         while True:
             f, theta, init = fit.send(reply)
-            reply = profile_objective(f, model, sample, theta, init, options.inner_tol)
+            reply = _profile(next(solve_inner_many(f, model, [(sample, theta, init)],
+                                                   options.inner_tol, hold_errors=False)))
     except StopIteration as stop:
         return stop.value
 

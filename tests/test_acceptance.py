@@ -160,8 +160,8 @@ def test_criterion_05_envelope_gradient():
 
 def _null_rejection_rates(seed, alpha=0.05):
     """1000 samples of n=200 from U[-1,1]; all three tests plus coverage."""
-    plan = SimulationPlan(("uniform", -1.0, 1.0), "mean-variance", "KLm",
-                          (200,), 1000, alpha, (0.0,), seed)
+    plan = SimulationPlan(model="mean-variance", family="KLm", n_list=(200,),
+                          runs=1000, alpha=alpha, epsilon_grid=(0.0,), seed=seed)
     counts = {"model_klm": 0, "model_chi2": 0, "simple": 0, "composite": 0}
     theta0 = np.array([1.0 / 3.0])
     for rep in range(plan.runs):
@@ -216,8 +216,8 @@ def test_criterion_08_asymptotic_variance():
     ref = WeightedSample.from_points(big)
     from phidiv.estimate import variance_blocks
     v_hat = variance_blocks(CHI2, MV, ref, theta0, np.zeros(3))[0][0, 0]
-    plan = SimulationPlan(("uniform", -1.0, 1.0), "mean-variance", "chi2",
-                          (500,), 1000, 0.05, (0.0,), 4)
+    plan = SimulationPlan(model="mean-variance", family="chi2", n_list=(500,),
+                          runs=1000, alpha=0.05, epsilon_grid=(0.0,), seed=4)
     draws = []
     for rep in range(plan.runs):
         sample = generate(plan, 0, rep)

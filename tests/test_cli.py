@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ import pytest
 
 import phidiv
 from phidiv.cli import main
+
+estimate_module = importlib.import_module("phidiv.estimate")
 
 
 @pytest.fixture
@@ -100,6 +103,12 @@ def test_bad_config_file_is_typed_error(capsys, data_csv, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--config", str(cfg), "test", "model", "--data", str(data_csv)])
     assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:  # unreadable
+        main(["--config", str(tmp_path / "missing.cfg"), "test", "model",
+              "--data", str(data_csv)])
+    assert exc.value.code == 2
+    assert "cannot read config" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", ["power:inf", "power:nan", "power:-inf"])
@@ -322,12 +331,15 @@ def test_simulate_figure1(capsys, tmp_path):
 
 def test_config_file_defaults(capsys, data_csv, tmp_path):
     cfg = tmp_path / "phidiv.cfg"
-    cfg.write_text("family = chi2\nalpha = 0.10  # comment\n")
+    # comment lines, and keys test model lacks (even unparsable), are ignored
+    cfg.write_text("# a comment line\n   # an indented one\n\nfamily = chi2\n"
+                   "alpha = 0.10  # comment\ngrid = 0.1:0.9:3\neps-grid = oops\n")
     code, payload = run(capsys, "--config", str(cfg), "test", "model",
                         "--data", str(data_csv))
     assert code == 0
     assert payload["config"]["family"] == "chi2"
     assert payload["config"]["alpha"] == 0.10
+    assert "grid" not in payload["config"] and "eps_grid" not in payload["config"]
     # explicit flag beats the file
     code, payload = run(capsys, "--config", str(cfg), "test", "model",
                         "--data", str(data_csv), "--family", "KL")
@@ -360,3 +372,62 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_estimate_verbose_prints_the_inner_solution(capsys, data_csv):
+    code, payload = run(capsys, "estimate", "--data", str(data_csv), "--verbose")
+    assert code == 0
+    fit = phidiv.estimate(phidiv.KLM, phidiv.get_model("mean-variance"),
+                          phidiv.load_csv(str(data_csv)))
+    assert payload["inner"] == json.loads(json.dumps(fit.inner.to_dict()))
+    assert {"t", "objective", "status", "iterations", "grad_norm"} <= set(payload["inner"])
+    assert payload["inner"]["t"] == payload["result"]["t_hat"]
+
+
+def test_column_count_mismatch_is_io_error(capsys, tmp_path):
+    p = tmp_path / "two.csv"
+    p.write_text("".join(f"{0.1 * k},{0.2 * k}\n" for k in range(20)))
+    code, payload = run(capsys, "estimate", "--data", str(p), "--model", "mean-variance")
+    assert code == 2
+    assert payload == {"error": f"{p}: 2 columns but model 'mean-variance' expects 1",
+                       "kind": "io"}
+
+
+def test_simulate_without_out_prints_json_rows(capsys):
+    code, payload = run(capsys, "simulate", "--figure1", "--runs", "2", "--n-list", "20",
+                        "--eps-grid", "0.5:0.5:1")
+    assert code == 0
+    rows = phidiv.reproduce_figure1(0, n_list=(20,), epsilon_grid=(0.5,), runs=2)
+    assert payload["rows"] == json.loads(json.dumps(rows))
+    assert payload["config"]["out"] is None
+
+
+def test_ratio_test_at_a_separated_theta_rejects(capsys, data_csv):
+    # x^2 - theta > 0 at every point: the inner solve is unbounded at once
+    code, payload = run(capsys, "test", "ratio", "--data", str(data_csv), "--theta=-2")
+    assert code == 0
+    report = payload["report"]
+    assert report["statistic"] == float("inf") and report["decision"] == "reject"
+    assert report["flag"] == "inner solve unbounded; treated as rejection"
+
+
+@pytest.mark.parametrize("flags, code", [([], 0), (["--alpha=1.5"], 3),
+                                         (["--eps-grid=0.5:-2.5:2"], 3)])
+def test_simulate_plan_error_fits_no_sample(capsys, monkeypatch, flags, code):
+    # the plan is checked before the first fit: a bad alpha or epsilon
+    # costs no Monte Carlo work
+    fitted = []
+    lockstep = estimate_module._lockstep
+
+    def counted(fam, model, samples, options):
+        fitted.extend(samples)
+        return lockstep(fam, model, samples, options)
+
+    monkeypatch.setattr(estimate_module, "_lockstep", counted)
+    got, payload = run(capsys, "simulate", "--figure1", "--runs", "2", "--n-list", "20",
+                       "--eps-grid=0.5:0.5:1", *flags, "--out", os.devnull)
+    assert got == code
+    if code:
+        assert payload["kind"] == "numeric" and fitted == []
+    else:
+        assert len(fitted) == 3  # two replicates and the analytic curve's fit

@@ -32,6 +32,12 @@ def grad_hess_at(fam, model, sample, theta, t):
     return _grad_hess(fam, A, sample.weights, A @ t)
 
 
+def solve_one(fam, model, sample, theta, init):
+    """solve_inner_many on one problem from init, its set-up errors raised:
+    solve_inner from a warm start."""
+    return next(solve_inner_many(fam, model, [(sample, theta, init)], hold_errors=False))
+
+
 def test_dual_objective_values():
     for fam in (KLM, KL, CHI2, HELLINGER):
         assert objective_at(fam, MEAN, S01, [1.0], np.zeros(2)) == 0.0
@@ -71,7 +77,7 @@ def test_solution_u_is_design_matrix_times_t(fam, rng):
     theta = np.array([0.4])
     A = _augmented(MV, sample, theta)
     cold = solve_inner(fam, MV, sample, theta)
-    warm = solve_inner(fam, MV, sample, theta, init=0.5 * cold.t)
+    warm = solve_one(fam, MV, sample, theta, 0.5 * cold.t)
     closed = chi2_closed_form(MV, sample, theta)
     for sol in (cold, warm, closed):
         assert (A @ sol.t).tobytes() == sol.u.tobytes()
@@ -249,7 +255,7 @@ def test_warm_start_equivalence(rng):
         for _ in range(10):
             model, sample, theta = random_feasible_instance(rng, "mean", n=6)
             a = solve_inner(fam, model, sample, theta)
-            b = solve_inner(fam, model, sample, theta, init=np.zeros(2))
+            b = solve_one(fam, model, sample, theta, np.zeros(2))
             if a.converged and b.converged:
                 assert np.allclose(a.t, b.t, atol=1e-8)
 
@@ -351,7 +357,7 @@ def test_grid_solve_equals_solve_inner_bit_for_bit(gamma, model_name, n, seed, t
         mp.setattr(dual, "STACK_BYTES", stack_bytes)
         got = [solution_bits(sol) for sol in solve_inner_many(
             fam, model, [(sample, theta, init) for theta in grid], hold_errors=False)]
-    want = [solution_bits(solve_inner(fam, model, sample, theta, init=init)) for theta in grid]
+    want = [solution_bits(solve_one(fam, model, sample, theta, init)) for theta in grid]
     assert got == want
 
 
@@ -465,3 +471,38 @@ def test_stop_bound_ends_only_solves_whose_maximum_lies_above_it(spec, n):
                 assert solution_bits(sol) == solution_bits(want)
         assert 0 < stopped < len(problems)
     assert all(sol.status != "above-stop" for sol in full)
+
+
+def scripted_newton(t, f, gnorm, trial_value):
+    """dual._newton from t on scripted replies: the criterion f at t, a
+    gradient of max norm gnorm, a Newton step along it, and trial_value for
+    every trial point (None: outside the domain).  Returns _newton's result
+    and the number of trials asked for."""
+    gen = dual._newton(np.array(t, dtype=float), dual.TOL, np.inf)
+    grad = np.array([gnorm, 0.0])
+    replies = {dual._EVAL: lambda x: (np.zeros(3), f),
+               dual._GRAD: lambda u: (grad, -np.eye(2), gnorm),
+               dual._SOLVE: lambda x: (grad, False, float(grad @ grad), True),
+               dual._TRIAL: lambda x: (x[0] + x[1] * x[2], np.zeros(3), trial_value)}
+    kinds = []
+    request = next(gen)
+    try:
+        while True:
+            kinds.append(request[0])
+            request = gen.send(replies[request[0]](request[1]))
+    except StopIteration as end:
+        return end.value, kinds.count(dual._TRIAL)
+
+
+@pytest.mark.parametrize("t, f, gnorm, trial_value, status", [
+    ([0.5, 1.0], 2.0, 1.0, None, "converged-boundary"),  # every trial outside dom psi
+    ([0.5, 1.0], 2.0, 2e-6, 1.0, "converged"),           # no ascent left: gradient tiny
+    ([0.5, 2e6], 2.0, 2e-6, 1.0, "unbounded"),           # ... at |t| > T_SOFT
+    ([0.5, 1.0], 2.0, 1.0, 1.0, "max-iterations"),       # no ascent, gradient not small
+    ([0.5, 1.0], 2.0, 1.0, -np.inf, "max-iterations"),
+])
+def test_newton_ends_when_no_trial_is_accepted(t, f, gnorm, trial_value, status):
+    (t_end, _, f_end, got, iterations, g_end, diag), trials = \
+        scripted_newton(t, f, gnorm, trial_value)
+    assert (got, iterations, diag["backtracks"], trials) == (status, 1, 60, 60)
+    assert t_end.tolist() == t and (f_end, g_end) == (f, gnorm)

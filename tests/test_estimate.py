@@ -272,3 +272,29 @@ def test_lockstep_answers_the_quadratic_search_first(fam, monkeypatch):
     else:
         assert quadratic == max(a.count(CHI2) for a in alone) > 0
         assert len(calls) - quadratic == max(a.count(fam) for a in alone) > 0
+
+
+def test_lockstep_setup_error_stays_with_its_sample(monkeypatch):
+    # a set-up error of the fit family's inner solve (the start pools and
+    # the quadratic search pass) ends that sample's fit alone; an error
+    # that is not a PhidivError propagates, as a pool-scoring one does
+    rng = np.random.default_rng(11)
+    batch = [WeightedSample.from_points(rng.uniform(-1.0, 1.2, 40)) for _ in range(3)]
+    want = [fit_bits(estimate(KLM, MV, s)) for s in batch]
+    prepare = dual._prepare
+
+    def failing(error):
+        def patched(fam, model, sample, theta, init):
+            if fam is KLM and sample is batch[1]:
+                raise error
+            return prepare(fam, model, sample, theta, init)
+        return patched
+
+    monkeypatch.setattr(dual, "_prepare", failing(DomainError("injected set-up error")))
+    got = [fit_bits(r) for r in estimate_many(KLM, MV, batch)]
+    assert got == [want[0], ("DomainError", "injected set-up error"), want[2]]
+    with pytest.raises(DomainError, match="injected set-up error"):
+        estimate(KLM, MV, batch[1])
+    monkeypatch.setattr(dual, "_prepare", failing(TypeError("injected type error")))
+    with pytest.raises(TypeError, match="injected type error"):
+        list(estimate_many(KLM, MV, batch))

@@ -8,15 +8,12 @@ from phidiv.simulate import (SimulationPlan, approx_power_curve,
                              discretize_uniform, generate, mc_power,
                              reproduce_figure1, write_power_csv)
 
-SMALL = SimulationPlan(("uniform", -1.0, 1.0), "mean-variance", "KLm",
-                       (50,), 30, 0.05, (0.3, 0.8), seed=7)
+SMALL = SimulationPlan(n_list=(50,), runs=30, epsilon_grid=(0.3, 0.8), seed=7)
 
 
 def test_plan_validation():
     with pytest.raises(ValueError):
         SimulationPlan(runs=0)
-    with pytest.raises(ValueError):
-        SimulationPlan(generator=("weird", 0.0, 1.0))
     for n_list in ((0,), (50, 0), (-5,), (2,), (50, 1)):
         with pytest.raises(ValueError, match="n_list"):
             SimulationPlan(n_list=n_list)
@@ -24,6 +21,25 @@ def test_plan_validation():
         SimulationPlan(model="mean", n_list=(1,))
     assert SimulationPlan(model="mean", n_list=(2,)).n_list == (2,)
     assert SMALL.cells() == [(0.3, 50), (0.8, 50)]
+
+
+@pytest.mark.parametrize("change, match", [
+    ({"epsilon_grid": ()}, "epsilon_grid is empty"),
+    ({"epsilon_grid": (0.5, float("nan"))}, "epsilon"),
+    ({"epsilon_grid": (float("inf"),)}, "epsilon"),
+    ({"epsilon_grid": (0.5, -2.0)}, "epsilon"),   # [-1, -1]: degenerate
+    ({"epsilon_grid": (-2.5, 0.5)}, "epsilon"),   # [-1, -1.5]: empty
+    ({"alpha": 1.5}, "alpha"), ({"alpha": 0.0}, "alpha"), ({"alpha": 1.0}, "alpha"),
+    ({"alpha": -0.05}, "alpha"), ({"alpha": float("nan")}, "alpha"),
+])
+def test_plan_rejects_what_no_study_can_run(change, match):
+    with pytest.raises(ValueError, match=match):
+        replace(SMALL, **change)
+
+
+def test_plan_accepts_an_interval_just_wider_than_a_point():
+    plan = replace(SMALL, epsilon_grid=(np.nextafter(-2.0, 0.0),), runs=1)
+    assert generate(plan, 0, 0).points.max() > -1.0
 
 
 def test_generate_reproducible_and_in_range():
@@ -39,21 +55,9 @@ def test_generate_reproducible_and_in_range():
 
 
 def test_generate_mean_matches_distribution():
-    plan = SimulationPlan(("uniform", -1.0, 1.0), n_list=(100_000,),
-                          epsilon_grid=(0.5,), runs=1, seed=3)
+    plan = SimulationPlan(n_list=(100_000,), epsilon_grid=(0.5,), runs=1, seed=3)
     s = generate(plan, 0, 0)
     assert s.points.mean() == pytest.approx(0.25, abs=0.01)
-
-
-def test_generate_normal_and_atoms():
-    plan = SimulationPlan(("normal", 0.0, 1.0), n_list=(5000,),
-                          epsilon_grid=(0.4,), seed=1)
-    s = generate(plan, 0, 0)
-    assert s.points.mean() == pytest.approx(0.4, abs=0.1)
-    atoms = SimulationPlan(("atoms", [0.0, 1.0], [0.5, 0.5]), n_list=(2000,),
-                           epsilon_grid=(0.0,), seed=1)
-    s2 = generate(atoms, 0, 0)
-    assert set(np.unique(s2.points)) <= {0.0, 1.0}
 
 
 def test_mc_power_rows():
@@ -112,10 +116,10 @@ def test_discretize_uniform():
     assert (p.points.ravel() ** 2).mean() == pytest.approx(1.0 / 3.0, abs=1e-3)
 
 
-def test_approx_power_curve_values():
-    plan = SimulationPlan(("uniform", -1.0, 1.0), n_list=(100, 500),
-                          epsilon_grid=(0.0, 0.5), runs=1, seed=0)
-    rows = approx_power_curve(plan, atoms=2000)
+def test_approx_power_curve_values(monkeypatch):
+    monkeypatch.setattr(simulate, "ATOMS", 2000)  # for speed
+    plan = SimulationPlan(n_list=(100, 500), epsilon_grid=(0.0, 0.5), runs=1, seed=0)
+    rows = approx_power_curve(plan)
     by = {(r["epsilon"], r["n"]): r["approx_power"] for r in rows}
     assert by[(0.0, 100)] == pytest.approx(0.05)  # null convention
     assert 0.0 < by[(0.5, 100)] < by[(0.5, 500)] <= 1.0
