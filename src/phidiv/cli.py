@@ -63,6 +63,15 @@ def _positive_int(text):
     return value
 
 
+def _seed(text):
+    """Integer >= 0; anything else raises ValueError, which argparse reports
+    as a usage error."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{text!r} is below 0")
+    return value
+
+
 def _parse_sizes(text):
     """Comma separated sample sizes, each an integer >= 1."""
     return tuple(_positive_int(v) for v in str(text).split(","))
@@ -187,7 +196,7 @@ def _add_common_data_flags(p):
     p.add_argument("--header", action="store_true", help="skip the first CSV row")
     p.add_argument("--alpha", type=_parse_real, default=0.05)
     p.add_argument("--starts", type=_positive_int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="write JSON result here")
     p.add_argument("--verbose", action="store_true")
 
@@ -234,7 +243,7 @@ def build_parser():
     p = sub.add_parser("simulate", help="Monte Carlo power study")
     p.add_argument("--figure1", action="store_true",
                    help="power curve table: MC versus analytic approximation")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--family", default="KLm")
     p.add_argument("--runs", type=_positive_int, default=DEFAULT_RUNS)
     p.add_argument("--alpha", type=_parse_real, default=0.05)

@@ -399,17 +399,16 @@ def chi2_closed_form(model, sample, theta, A=None):
 @np.errstate(over="ignore", invalid="ignore")  # as in solve_inner_many
 def chi2_objectives(model, problems):
     """chi2_closed_form(model, sample, theta).objective for every (sample,
-    theta) of problems, whose samples hold one weight vector, or the error
-    it raises, in order.
+    theta) of problems, or the error it raises, in order.
 
-    Each chunk of at most STACK_BYTES of design tensor is solved as one
-    stack: _chi2_system, then stacked solve and matmul, each the BLAS or
-    LAPACK call chi2_closed_form makes on one slice, so each value is its
-    bits (chi2_closed_form keeps its own solve: the [..., None] indexing of
-    a shape-generic one cost it 5-7 % at n = 50, one BLAS thread).  A slice
-    the stack does not settle (a singular or non-finite Gram matrix, a failed
-    LAPACK call) goes to chi2_closed_form alone, for its error, as does a
-    design alone in its chunk: a stack of one would double its memory.
+    Each chunk of _chunks is solved as one stack: _chi2_system, then
+    stacked solve and matmul, each the BLAS or LAPACK call chi2_closed_form
+    makes on one slice, so each value is its bits (chi2_closed_form keeps
+    its own solve: the [..., None] indexing of a shape-generic one cost it
+    5-7 % at n = 50, one BLAS thread).  A slice the stack does not settle
+    (a singular or non-finite Gram matrix, a failed LAPACK call) goes to
+    chi2_closed_form alone, for its error, as does a design alone in its
+    chunk: a stack of one would double its memory.
     """
     out = []
     for chunk in _chunks(model, problems):
@@ -498,25 +497,31 @@ def _prepare(fam, model, sample, theta, init):
 STACK_BYTES = 1 << 16
 
 
-def stack_size(model, n):
-    """Problems of n points in a stack of STACK_BYTES of design tensor, and
-    at least one."""
-    return max(1, STACK_BYTES // (8 * n * (model.l + 1)))
-
-
-def _chunks(model, problems):
-    """problems, (sample, ...) tuples of one sample size, in consecutive
-    stacks of stack_size."""
-    size = stack_size(model, problems[0][0].n) if problems else 1
-    return [problems[i:i + size] for i in range(0, len(problems), size)]
+def _chunks(model, items):
+    """The (sample, ...) tuples of an iterable, read lazily, in consecutive
+    chunks that may share a stack: a chunk ends at max(1, STACK_BYTES //
+    (8 n (l + 1))) items, n its first sample's size, or before a sample
+    whose weights are not bitwise its first one's."""
+    chunk = []
+    for item in items:
+        w = item[0].weights
+        if chunk and (len(chunk) == size or not (
+                w is w0 or (w.shape == w0.shape and w.tobytes() == w0.tobytes()))):
+            yield chunk
+            chunk = []
+        if not chunk:
+            w0, size = w, max(1, STACK_BYTES // (8 * item[0].n * (model.l + 1)))
+        chunk.append(item)
+    if chunk:
+        yield chunk
 
 
 def solve_inner_many(fam, model, problems, tol=TOL, hold_errors=True, stop=math.inf):
     """Maximize the dual criterion at every (sample, theta, init) of
-    problems, whose samples hold one weight vector, yielding the
-    DualSolutions in order.  A problem's set-up error is yielded in its
-    place, so that it stops no other; without hold_errors it is raised at
-    once, before the rest of its chunk is solved.
+    problems, yielding the DualSolutions in order.  A problem's set-up
+    error is yielded in its place, so that it stops no other; without
+    hold_errors it is raised at once, before the rest of its chunk is
+    solved.
 
     Damped Newton from init, or by default from the quadratic closed form,
     shrunk into the feasible region, falling back to t = 0 (always
@@ -527,10 +532,10 @@ def solve_inner_many(fam, model, problems, tol=TOL, hold_errors=True, stop=math.
     one strict sign (see _separated) returns "unbounded" at once: t = 0,
     objective +inf, no Newton iteration.  Empirical likelihood is KLm.
 
-    The problems are set up one by one by _prepare and solved in chunks of
-    at most STACK_BYTES of design tensor by _newton_ascent_stack, which
-    gives each _newton_ascent's result bit for bit; a problem alone in its
-    chunk goes to _newton_ascent, which is faster for one problem.
+    The problems are set up one by one by _prepare and solved in the chunks
+    of _chunks by _newton_ascent_stack, which gives each _newton_ascent's
+    result bit for bit; a problem alone in its chunk goes to _newton_ascent,
+    which is faster for one problem.
     """
     for chunk in _chunks(model, problems):
         # overflowing moment functions end in a typed error or status, not

@@ -15,13 +15,14 @@ parameter that remains valid under misspecification.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .dual import (TOL, DualSolution, _augmented, chi2_objectives,
-                   criterion_variance, solve_inner, solve_inner_many, stack_size)
+from .dual import (TOL, DualSolution, _augmented, _chunks, chi2_objectives,
+                   criterion_variance, solve_inner, solve_inner_many)
 from .errors import EstimationError, PhidivError, RankDeficiencyError
 from .families import CHI2
 
@@ -40,6 +41,18 @@ class EstimateOptions:
     outer_max_iter: int = 100
     inner_tol: float = TOL
     theta0: tuple | None = None  # explicit extra start, overrides nothing else
+
+    def __post_init__(self):
+        if not _int_at_least(self.seed, 0):
+            raise ValueError(f"seed must be an integer >= 0, not {self.seed!r}")
+
+
+def _int_at_least(value, lo):
+    """Whether value is an integer (a numpy one too) of at least lo."""
+    try:
+        return operator.index(value) >= lo
+    except TypeError:
+        return False
 
 
 @dataclass
@@ -285,27 +298,19 @@ def estimate(fam, model, sample, options=None):
 
 def estimate_many(fam, model, samples, options=None):
     """estimate on every sample of an iterable, yielded in order: its
-    EstimationResult, or the PhidivError estimate raises.  Consecutive
-    samples of bitwise equal weights (all of one size from
-    WeightedSample.from_points) are fitted in lockstep (see _lockstep), in
-    batches of dual.stack_size; each result is bit for bit that of the
-    sample fitted alone, one inner solve at a time.
+    EstimationResult, or the PhidivError estimate raises.  The samples are
+    fitted in lockstep (see _lockstep), in the chunks of dual._chunks; each
+    result is bit for bit that of the sample fitted alone, one inner solve
+    at a time.
     """
     options = options or EstimateOptions()
-    batch = []
-    for sample in samples:
-        if batch and (len(batch) == stack_size(model, sample.n)
-                      or sample.weights.tobytes() != batch[0].weights.tobytes()):
-            yield from _lockstep(fam, model, batch, options)
-            batch = []
-        batch.append(sample)
-    if batch:
-        yield from _lockstep(fam, model, batch, options)
+    for batch in _chunks(model, ((s,) for s in samples)):
+        yield from _lockstep(fam, model, [s for s, in batch], options)
 
 
 def _lockstep(fam, model, samples, options):
-    """Fit samples of one weight vector together; returns, in order, each
-    one's EstimationResult or the PhidivError its fit raised.
+    """Fit samples together; returns, in order, each one's
+    EstimationResult or the PhidivError its fit raised.
 
     Each sample with more observations than moment functions gets the start
     pool of _start_design, all pools scored by one chi2_objectives call:

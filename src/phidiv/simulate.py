@@ -24,7 +24,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import PhidivError
-from .estimate import EstimateOptions, estimate
+from .estimate import EstimateOptions, _int_at_least, estimate
 from .families import family as resolve_family
 from .inference import power_approx, test_models
 from .models import WeightedSample, get_model
@@ -49,12 +49,16 @@ class SimulationPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if self.runs < 1:
-            raise ValueError("runs must be >= 1")
+        if not _int_at_least(self.runs, 1):
+            raise ValueError(f"runs must be an integer >= 1, not {self.runs!r}")
+        if not _int_at_least(self.seed, 0):
+            raise ValueError(f"seed must be an integer >= 0, not {self.seed!r}")
         moments = get_model(self.model).l
-        if any(n <= moments for n in self.n_list):
-            raise ValueError(f"every sample size in n_list must exceed {moments}, the "
-                             "model's number of moment functions")
+        if not self.n_list:
+            raise ValueError("n_list is empty")
+        if not all(_int_at_least(n, moments + 1) for n in self.n_list):
+            raise ValueError(f"every sample size in n_list must be an integer above "
+                             f"{moments}, the model's number of moment functions")
         if not self.epsilon_grid:
             raise ValueError("epsilon_grid is empty")
         if not all(math.isfinite(eps) and HI + eps > LO for eps in self.epsilon_grid):

@@ -431,3 +431,24 @@ def test_simulate_plan_error_fits_no_sample(capsys, monkeypatch, flags, code):
         assert payload["kind"] == "numeric" and fitted == []
     else:
         assert len(fitted) == 3  # two replicates and the analytic curve's fit
+
+
+@pytest.mark.parametrize("value", ["-1", "1.5", "x"])
+@pytest.mark.parametrize("argv", [["estimate"], ["simulate", "--figure1", "--runs", "2",
+                                                 "--n-list", "20", "--eps-grid=0.5:0.5:1"]])
+def test_bad_seed_is_usage_error(capsys, monkeypatch, data_csv, argv, value):
+    # a seed below 0 or not an integer is refused before any fit
+    fitted = []
+    lockstep = estimate_module._lockstep
+
+    def counted(fam, model, samples, options):
+        fitted.extend(samples)
+        return lockstep(fam, model, samples, options)
+
+    monkeypatch.setattr(estimate_module, "_lockstep", counted)
+    if argv[0] == "estimate":
+        argv = argv + ["--data", str(data_csv)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--seed={value}", "--out", os.devnull])
+    assert exc.value.code == 1 and fitted == []
+    assert "--seed" in capsys.readouterr().err

@@ -397,6 +397,44 @@ def test_stacked_closed_form_equals_chi2_closed_form(n, seed, tie, npts, stack_b
     assert got == [closed_form_bits(MV, s, theta) for s, theta in problems]
 
 
+def interleaved_problems():
+    """(sample, theta) problems interleaving two weight vectors on one set of
+    50 points with a sample of 40 points, in runs of two to four."""
+    rng = np.random.default_rng(21)
+    x = rng.uniform(-1.0, 1.2, 50)
+    a, b = WeightedSample.from_points(x), WeightedSample(x, rng.dirichlet(np.ones(50)))
+    c = WeightedSample.from_points(rng.uniform(-1.0, 1.2, 40))
+    return [(s, [theta]) for s in (a, b, b, a, c, c, a) for theta in (0.3, 0.45)]
+
+
+def test_stacked_calls_take_any_samples():
+    # a stack holds one weight vector, so every problem is its lone solve,
+    # bit for bit, whatever its neighbours' weights and sizes
+    problems = interleaved_problems()
+    got = solve_inner_many(KLM, MV, [(s, theta, None) for s, theta in problems])
+    assert [solution_bits(sol) for sol in got] == \
+        [solution_bits(solve_inner(KLM, MV, s, theta)) for s, theta in problems]
+    assert [v.hex() for v in chi2_objectives(MV, problems)] == \
+        [closed_form_bits(MV, s, theta) for s, theta in problems]
+
+
+def test_chunks_cut_at_the_budget_and_at_new_weights_lazily(monkeypatch):
+    s = WeightedSample.from_points(np.linspace(-1.0, 1.0, 50))
+    same = WeightedSample(s.points, s.weights.copy())  # equal bytes, another array
+    other = WeightedSample(s.points, np.linspace(1.0, 2.0, 50) / 75.0)
+    monkeypatch.setattr(dual, "STACK_BYTES", 3 * 8 * 50 * 3)  # three a chunk
+    pulled = []
+
+    def stream():
+        for k, sample in enumerate([s, same, s, s, other, s]):
+            pulled.append(k)
+            yield sample, k
+
+    cuts = [([k for _, k in chunk], len(pulled)) for chunk in dual._chunks(MV, stream())]
+    assert [keys for keys, _ in cuts] == [[0, 1, 2], [3], [4], [5]]
+    assert all(seen <= keys[-1] + 2 for keys, seen in cuts)  # one item beyond at most
+
+
 def test_lone_design_goes_to_chi2_closed_form_unstacked(monkeypatch):
     # a chunk of one problem is not stacked: chi2_closed_form solves it
     s = WeightedSample.from_points(np.random.default_rng(2).uniform(-1.0, 1.2, 50))
@@ -429,7 +467,7 @@ def test_pool_of_lone_designs_peaks_as_one_closed_form():
     # holds one design and its temporaries at a time, never a stack of one
     s = WeightedSample.from_points(np.random.default_rng(4).uniform(-1.0, 1.2, 20_000))
     pool = np.linspace(0.1, 0.9, 8)
-    assert dual.stack_size(MV, s.n) == 1
+    assert [len(chunk) for chunk in dual._chunks(MV, [(s,)] * 2)] == [1, 1]
     one = traced_peak(lambda: chi2_closed_form(MV, s, [pool[0]]))
     scored = traced_peak(lambda: chi2_objectives(MV, [(s, [theta]) for theta in pool]))
     assert scored <= 1.1 * one

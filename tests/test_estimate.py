@@ -225,6 +225,40 @@ def test_estimates_equal_one_at_a_time_reference(spec, sizes, seed, n_starts, mc
         assert [fit_bits(outcome(estimate, fam, MV, s, options)) for s in samples] == want
 
 
+def test_estimate_many_takes_any_samples():
+    # [a, b, c, a]: two weight vectors on 50 points, then 40 points, then a
+    rng = np.random.default_rng(13)
+    x = rng.uniform(-1.0, 1.2, 50)
+    a, b = WeightedSample.from_points(x), WeightedSample(x, rng.dirichlet(np.ones(50)))
+    c = WeightedSample.from_points(rng.uniform(-1.0, 1.2, 40))
+    stream = [a, b, c, a]
+    assert [fit_bits(r) for r in estimate_many(KLM, MV, iter(stream))] == \
+        [fit_bits(outcome(estimate, KLM, MV, s)) for s in stream]
+
+
+def test_estimate_many_cuts_equal_weights_at_the_budget(monkeypatch):
+    module = importlib.import_module("phidiv.estimate")
+    batches = []
+
+    def counted(fam, model, samples, options):
+        batches.append(len(samples))
+        return _lockstep(fam, model, samples, options)
+
+    monkeypatch.setattr(module, "_lockstep", counted)
+    monkeypatch.setattr(dual, "STACK_BYTES", 3 * 8 * 40 * 3)  # three samples of 40
+    rng = np.random.default_rng(14)
+    samples = [WeightedSample.from_points(rng.uniform(-1.0, 1.2, 40)) for _ in range(8)]
+    assert len(list(estimate_many(KLM, MV, samples, FAST))) == 8
+    assert batches == [3, 3, 2]
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), "0", None])
+def test_options_reject_a_seed_that_is_not_a_nonnegative_integer(seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        EstimateOptions(seed=seed)
+    assert EstimateOptions(seed=np.uint32(7)).seed == 7
+
+
 def test_overflowing_sample_fails_alone_in_its_batch():
     # x^2 overflows on the middle sample: its start pool has no finite Gram
     # matrix, so it gets a DomainError and the good fits around it stand

@@ -19,6 +19,13 @@ def test_plan_validation():
             SimulationPlan(n_list=n_list)
     with pytest.raises(ValueError, match="n_list"):  # one moment function
         SimulationPlan(model="mean", n_list=(1,))
+    for change, match in [({"runs": 1.5}, "runs"), ({"runs": np.float64(2.0)}, "runs"),
+                          ({"n_list": (50.5,)}, "n_list"), ({"n_list": ()}, "n_list"),
+                          ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed")]:
+        with pytest.raises(ValueError, match=match):
+            SimulationPlan(**change)
+    plan = SimulationPlan(n_list=(np.int64(50),), runs=np.int64(2), seed=np.uint32(7))
+    assert (plan.runs, plan.seed) == (2, 7)
     assert SimulationPlan(model="mean", n_list=(2,)).n_list == (2,)
     assert SMALL.cells() == [(0.3, 50), (0.8, 50)]
 
