@@ -10,8 +10,7 @@ Monte Carlo harness.
 
 __version__ = "1.0.0"
 
-from .distributions import (chi2_cdf, chi2_pdf, chi2_quantile, normal_cdf,
-                            normal_pdf, normal_quantile)
+from .distributions import chi2_cdf, chi2_quantile, normal_cdf, normal_quantile
 from .dual import DualSolution, chi2_closed_form, solve_inner
 from .errors import (DataError, DomainError, EstimationError,
                      NotApplicableError, ParameterSpaceError, PhidivError,
@@ -39,8 +38,7 @@ __all__ = [
     "profile_objective", "profile_gradient", "variance_blocks",
     "TestReport", "test_model", "test_theta_simple", "test_theta_composite",
     "confidence_region", "power_approx", "sample_size", "sample_size_real",
-    "chi2_cdf", "chi2_pdf", "chi2_quantile", "normal_cdf", "normal_pdf",
-    "normal_quantile",
+    "chi2_cdf", "chi2_quantile", "normal_cdf", "normal_quantile",
     "SimulationPlan", "generate", "mc_power", "approx_power_curve",
     "reproduce_figure1", "write_power_csv",
     "PhidivError", "DomainError", "ParameterSpaceError", "RankDeficiencyError",

@@ -116,7 +116,7 @@ def _options(args):
 def cmd_estimate(args):
     fam, model, sample = _load_inputs(args)
     result = estimate(fam, model, sample, options=_options(args))
-    payload = {"config": _config_echo(args), "result": result.to_dict(sample.n)}
+    payload = {"config": _config_echo(args), "result": result.to_dict()}
     if args.verbose:
         payload["inner"] = result.inner.to_dict()
     _emit(payload, args.out)

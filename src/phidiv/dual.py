@@ -50,6 +50,11 @@ class DualSolution:
         return self.status == "converged"
 
     @property
+    def value(self):
+        """The profile value: the objective of a converged solve, else +inf."""
+        return self.objective if self.converged else math.inf
+
+    @property
     def weights(self):
         """Projection weights Q_i = w_i psi'(u_i), None unless the solve
         reached an optimum; computed from u on each access, so a kept
@@ -428,8 +433,7 @@ def chi2_objectives(model, problems):
                 gram, rhs = _chi2_system(designs, w)
                 ok = ~_singular(np.linalg.eigh(gram)[0])
                 t = np.linalg.solve(gram[ok], rhs[ok][:, :, None])[:, :, 0]
-                vals = _psi_arr(2.0, _matvec(designs[ok], t))
-                objs = iter((t[:, 0] - np.matmul(vals[:, None, :], w[:, None])[:, 0, 0]).tolist())
+                objs = iter(_objective_rows(CHI2, w, _matvec(designs[ok], t), t).tolist())
                 settled = ok.tolist()
             except np.linalg.LinAlgError:
                 pass

@@ -26,8 +26,6 @@ from .dual import (TOL, DualSolution, _augmented, _chunks, chi2_objectives,
 from .errors import EstimationError, PhidivError, RankDeficiencyError
 from .families import CHI2
 
-INF = float("inf")
-
 
 @dataclass(frozen=True)
 class EstimateOptions:
@@ -73,16 +71,17 @@ class EstimationResult:
         return variance_blocks(*self.problem, self.theta_hat, self.t_hat)
 
     V_hat = property(lambda self: self._blocks[0])
-    S_hat = property(lambda self: self._blocks[2])
-    M_hat = property(lambda self: self._blocks[3])
-    W_hat = property(lambda self: self._blocks[4])
+    S_hat = property(lambda self: self._blocks[1])
+    M_hat = property(lambda self: self._blocks[2])
+    W_hat = property(lambda self: self._blocks[3])
 
-    def stderr(self, n):
-        """Per-coordinate standard errors sqrt(V_ii / n)."""
-        return np.sqrt(np.clip(np.diag(self.V_hat), 0.0, None) / n)
+    def stderr(self):
+        """Per-coordinate standard errors sqrt(V_ii / n), n the size of the
+        fitted sample."""
+        return np.sqrt(np.clip(np.diag(self.V_hat), 0.0, None) / self.problem[2].n)
 
-    def to_dict(self, n):
-        """JSON-ready fields, with the standard errors of a sample of n."""
+    def to_dict(self):
+        """JSON-ready fields, with the standard errors."""
         return {
             "theta_hat": [float(v) for v in self.theta_hat],
             "t_hat": [float(v) for v in self.t_hat],
@@ -90,7 +89,7 @@ class EstimationResult:
             "sigma2_hat": float(self.sigma2_hat),
             "V_hat": self.V_hat.tolist(),
             "diagnostics": self.diagnostics,
-            "stderr": [float(v) for v in self.stderr(n)],
+            "stderr": [float(v) for v in self.stderr()],
         }
 
 
@@ -98,14 +97,12 @@ def profile_objective(fam, model, sample, theta):
     """Inner dual maximum at theta, with the inner solution of solve_inner.
 
     An inner solve that did not converge (stopped at the domain boundary,
-    unbounded or stalled) yields +inf; the solution object carries the
-    status, so the outer search can steer away without aborting.
+    unbounded or stalled) yields +inf (DualSolution.value); the solution
+    object carries the status, so the outer search can steer away without
+    aborting.
     """
-    return _profile(solve_inner(fam, model, sample, theta))
-
-
-def _profile(sol):
-    return (sol.objective if sol.converged else INF), sol
+    sol = solve_inner(fam, model, sample, theta)
+    return sol.value, sol
 
 
 def profile_gradient(fam, model, sample, theta, inner):
@@ -144,12 +141,12 @@ def _start_design(model, options):
 def _outer_minimize(fam, model, sample, theta0, options):
     """Projected BFGS descent of the profile from one start; each inner
     solve is asked for by yielding (fam, theta, init) and answered with
-    the (value, solution) of _profile, solved from init at
-    options.inner_tol."""
+    its DualSolution, solved from init at options.inner_tol."""
     lo, hi = model.theta_lo, model.theta_hi
     d = model.d
     theta = model.clip_theta(theta0)
-    val, sol = yield fam, theta, None
+    sol = yield fam, theta, None
+    val = sol.value
     if not np.isfinite(val):
         return None, {"start": theta.tolist(), "reason": f"infeasible start ({sol.status})"}
     grad = _envelope_grad(model, sample, theta, sol.weights, sol.t)
@@ -171,7 +168,8 @@ def _outer_minimize(fam, model, sample, theta0, options):
             s = cand - theta
             if abs(s).max() < 1e-14 * (1.0 + abs(theta).max()):
                 break
-            cval, csol = yield fam, cand, sol.t
+            csol = yield fam, cand, sol.t
+            cval = csol.value
             if cval <= val + 1e-4 * float(grad @ s):
                 accepted = True
                 break
@@ -197,10 +195,10 @@ def _outer_minimize(fam, model, sample, theta0, options):
 def variance_blocks(fam, model, sample, theta, t):
     """Empirical variance objects evaluated at (theta, t).
 
-    Returns (V, sigma2, S, M, W): the efficient parameter covariance, the
-    scalar variance of the divergence estimate, the joint second-derivative
-    matrix, the outer-product matrix of first derivatives, and the sandwich
-    S^-1 M S^-1.
+    Returns (V, S, M, W): the efficient parameter covariance, the joint
+    second-derivative matrix, the outer-product matrix of first derivatives,
+    and the sandwich S^-1 M S^-1.  The scalar variance of the divergence
+    estimate is the fit's sigma2_hat.
     """
     theta = model.check_theta(theta)
     w = sample.weights
@@ -217,8 +215,6 @@ def variance_blocks(fam, model, sample, theta, t):
         v = np.linalg.inv(ghat.T @ np.linalg.solve(omega, ghat))
     except np.linalg.LinAlgError:
         raise RankDeficiencyError("singular moment covariance matrix")
-
-    sigma2 = criterion_variance(fam, w, u, t[0])
 
     jt = np.einsum("ild,l->id", jac, t[1:])
     dm_dt = -(A * s1[:, None])
@@ -251,7 +247,7 @@ def variance_blocks(fam, model, sample, theta, t):
         w_mat = 0.5 * (w_mat + w_mat.T)
     except np.linalg.LinAlgError:
         w_mat = np.full_like(s_mat, np.nan)
-    return v, sigma2, s_mat, m_mat, w_mat
+    return v, s_mat, m_mat, w_mat
 
 
 def _fit(fam, model, sample, options, lead, extra):
@@ -332,9 +328,10 @@ def _lockstep(fam, model, samples, options):
                                           for theta in pool]))
     fits, waiting = {}, {CHI2: [], fam: []}  # (i, theta, init) per family
 
-    def advance(i, reply=None, error=None):
+    def advance(i, reply=None):
         try:
-            f, theta, init = fits[i].send(reply) if error is None else fits[i].throw(error)
+            f, theta, init = (fits[i].throw(reply) if isinstance(reply, Exception)
+                              else fits[i].send(reply))
         except StopIteration as stop:
             out[i] = stop.value
         except PhidivError as exc:
@@ -347,7 +344,7 @@ def _lockstep(fam, model, samples, options):
         out[i] = next((v for v in vals if isinstance(v, Exception)
                        and not isinstance(v, RankDeficiencyError)), None)
         if out[i] is None:
-            order = np.argsort([INF if isinstance(v, Exception) else v for v in vals],
+            order = np.argsort([np.inf if isinstance(v, Exception) else v for v in vals],
                                kind="stable")
             fits[i] = _fit(fam, model, samples[i], options, pool[order[0]], extra)
             advance(i)
@@ -364,7 +361,4 @@ def _lockstep(fam, model, samples, options):
         sols = solve_inner_many(f, model, [(samples[i], theta, init)
                                            for i, theta, init in batch], options.inner_tol)
         for (i, _, _), sol in zip(batch, sols):
-            if isinstance(sol, Exception):
-                advance(i, error=sol)
-            else:
-                advance(i, _profile(sol))
+            advance(i, sol)

@@ -50,9 +50,11 @@ class TestReport:
 def _report(kind, stat, df, alpha, sigma2=None, flag=None):
     if math.isnan(stat):
         raise EstimationError(f"{kind}: the statistic is NaN")
+    # 2n times a divergence, or a divergence less its minimum: >= 0 but for rounding
+    stat = max(stat, 0.0)
     crit = chi2_quantile(1.0 - alpha, df)
     if math.isfinite(stat):
-        p = 1.0 - chi2_cdf(max(stat, 0.0), df)
+        p = 1.0 - chi2_cdf(stat, df)
     else:
         p = 0.0
     decision = "reject" if stat > crit else "accept"
@@ -161,12 +163,12 @@ def confidence_region(fam, model, sample, alpha, grid, options=None):
     stop = est.divergence_hat + crit / (2.0 * sample.n)
     stop += 1e-9 * (1.0 + abs(stop))  # past the statistic's rounding: stopped is rejected
     problems = [(sample, theta, est.t_hat) for theta in grid]
-    objective = np.array([sol.objective if sol.converged else np.nan for sol in
+    objective = np.array([sol.value for sol in
                           solve_inner_many(fam, model, problems, hold_errors=False,
                                            stop=stop)])
-    converged = ~np.isnan(objective)
+    converged = np.isfinite(objective)
     if converged.any():
-        best = np.nanargmin(objective)
+        best = np.argmin(objective)
         est, _ = _refit_if_missed(fam, model, sample, est, grid[best], objective[best],
                                   options)
     stat = 2.0 * sample.n * (objective[converged] - est.divergence_hat)

@@ -87,8 +87,8 @@ class WeightedSample:
             raise DataError("weights must be one per observation")
         if not (np.isfinite(pts).all() and np.isfinite(w).all()):
             raise DataError("sample points and weights must be finite")
-        if np.any(w < 0.0):
-            raise DataError("weights must be nonnegative")
+        if not (w > 0.0).all():
+            raise DataError("weights must be positive")
         if abs(w.sum() - 1.0) > 1e-8:
             raise DataError("weights must sum to one")
         object.__setattr__(self, "points", pts)
@@ -150,7 +150,7 @@ def get_model(name):
 
 def load_csv(path, header=False):
     """Read a sample from UTF-8 CSV: one row per observation, m numeric
-    columns, the first CSV record skipped when header is true.
+    columns, the first CSV record ignored when header is true.
 
     Raises :class:`DataError` naming the offending row and column on any
     non-numeric or non-finite cell or ragged row, and the byte offset of
@@ -187,13 +187,11 @@ def _read_rows(path, raw, header):
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8: byte {raw[exc.start]:#04x} at "
                         f"offset {exc.start}") from None
-    rows = []
-    skipped = []  # file rows holding no data, to name data rows in errors
+    rows, file_rows = [], []  # the data rows, and each one's 1-based file row
     with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
-        for i, row in enumerate(reader):
-            if (header and i == 0) or not row or all(c.strip() == "" for c in row):
-                skipped.append(i)
+        for i, row in enumerate(reader, 1):
+            if (header and i == 1) or not row or all(c.strip() == "" for c in row):
                 continue
             vals = []
             for j, cell in enumerate(row):
@@ -201,28 +199,19 @@ def _read_rows(path, raw, header):
                     vals.append(float(cell))
                 except ValueError:
                     raise DataError(
-                        f"{path}: non-numeric value {cell!r} at row {i + 1}, column {j + 1}")
+                        f"{path}: non-numeric value {cell!r} at row {i}, column {j + 1}")
             rows.append(vals)
+            file_rows.append(i)
     if not rows:
         raise DataError(f"{path}: no data rows")
     width = len(rows[0])
-    for k, r in enumerate(rows):
+    for r, i in zip(rows, file_rows):
         if len(r) != width:
-            raise DataError(f"{path}: row {_file_row(skipped, k)} has {len(r)} "
-                            f"columns, expected {width}")
+            raise DataError(f"{path}: row {i} has {len(r)} columns, expected {width}")
     pts = np.asarray(rows, dtype=float)
     finite = np.isfinite(pts)
     if not finite.all():
         k, j = np.argwhere(~finite)[0]
         raise DataError(f"{path}: non-finite value {float(pts[k, j])!r} at "
-                        f"row {_file_row(skipped, k)}, column {j + 1}")
+                        f"row {file_rows[k]}, column {j + 1}")
     return pts
-
-
-def _file_row(skipped, k):
-    """1-based file row of data row k, given the skipped rows in order."""
-    i = k
-    for s in skipped:
-        if s <= i:
-            i += 1
-    return i + 1

@@ -24,7 +24,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import PhidivError
-from .estimate import EstimateOptions, _int_at_least, estimate
+from .estimate import EstimateOptions, _int_at_least, estimate_many
 from .families import family as resolve_family
 from .inference import power_approx, test_models
 from .models import WeightedSample, get_model
@@ -152,24 +152,22 @@ def approx_power_curve(plan):
 
     Discretizes the alternative at ATOMS midpoints, computes the population
     divergence and the criterion standard deviation at the pseudo-true
-    parameter, then applies the normal power formula.  At epsilon = 0 the
+    parameter, then applies the normal power formula.  The laws of all
+    epsilon are fitted by one estimate_many call.  At epsilon = 0 the
     divergence degenerates to zero and the cell reports the nominal level
     by convention.
     """
     model = get_model(plan.model)
     fam = resolve_family(plan.family)
     df = model.l - model.d
+    laws = (discretize_uniform(LO, HI + eps, ATOMS) for eps in plan.epsilon_grid)
     rows = []
-    for eps in plan.epsilon_grid:
-        p0 = discretize_uniform(LO, HI + eps, ATOMS)
-        try:
-            est = estimate(fam, model, p0, options=MC_OPTIONS)
-            div = max(est.divergence_hat, 0.0)
-            sigma = math.sqrt(max(est.sigma2_hat, 0.0))
-        except PhidivError:
-            for n in plan.n_list:
-                rows.append({"epsilon": eps, "n": n, "approx_power": None})
+    for eps, est in zip(plan.epsilon_grid, estimate_many(fam, model, laws, MC_OPTIONS)):
+        if isinstance(est, PhidivError):
+            rows.extend({"epsilon": eps, "n": n, "approx_power": None} for n in plan.n_list)
             continue
+        div = max(est.divergence_hat, 0.0)
+        sigma = math.sqrt(max(est.sigma2_hat, 0.0))
         for n in plan.n_list:
             if div < 1e-8 or sigma < 1e-12:
                 power = plan.alpha

@@ -18,11 +18,11 @@ import math
 import numpy as np
 import pytest
 
-from phidiv import (DomainError, EstimateOptions, EstimationError,
+from phidiv import (DomainError, EstimateOptions, EstimationError, MomentModel,
                     RankDeficiencyError, WeightedSample, chi2_closed_form, chi2_quantile,
                     estimate, get_model)
 from phidiv.dual import solve_inner_many
-from phidiv.estimate import _fit, _profile, _start_design
+from phidiv.estimate import _fit, _start_design
 from phidiv.inference import _refit_if_missed
 
 
@@ -191,6 +191,25 @@ def random_feasible_instance(rng, model_name="mean", n=4):
     return model, sample, theta
 
 
+def _symmetric_g(x, theta):
+    r = x[:, 0] - theta[0]
+    return np.column_stack([r, r * r - theta[1], r ** 3])
+
+
+def _symmetric_jac(x, theta):
+    r = x[:, 0] - theta[0]
+    jac = np.zeros((x.shape[0], 3, 2))
+    jac[:, :, 0] = np.column_stack([-np.ones_like(r), -2.0 * r, -3.0 * r * r])
+    jac[:, 1, 1] = -1.0
+    return jac
+
+
+# mean mu and variance v of a symmetric law, theta = (mu, v): l = 3, d = 2,
+# and a Jacobian that moves with theta, unlike the built-in models
+SYMMETRIC = MomentModel("symmetric-mean-variance", 1, 2, 3, _symmetric_g, _symmetric_jac,
+                        (-5.0, 1e-3), (5.0, 10.0))
+
+
 def estimate_one_at_a_time(fam, model, sample, options=None):
     """estimate with nothing batched: the start pool scored theta by theta
     by chi2_closed_form (a singular Gram matrix scores inf, any other error
@@ -214,8 +233,8 @@ def estimate_one_at_a_time(fam, model, sample, options=None):
     try:
         while True:
             f, theta, init = fit.send(reply)
-            reply = _profile(next(solve_inner_many(f, model, [(sample, theta, init)],
-                                                   options.inner_tol, hold_errors=False)))
+            reply = next(solve_inner_many(f, model, [(sample, theta, init)],
+                                          options.inner_tol, hold_errors=False))
     except StopIteration as stop:
         return stop.value
 

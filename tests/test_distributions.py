@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phidiv import (chi2_cdf, chi2_quantile, normal_cdf, normal_pdf,
-                    normal_quantile)
-from phidiv.distributions import chi2_pdf, gamma_p
+from phidiv import chi2_cdf, chi2_quantile, normal_cdf, normal_quantile
+from phidiv.distributions import chi2_pdf, gamma_p, normal_pdf
 
 
 def test_reference_quantiles():

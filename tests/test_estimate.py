@@ -103,7 +103,7 @@ def test_estimate_mean_variance_consistency(rng):
     x = rng.uniform(-1.0, 1.0, size=2000)
     s = WeightedSample.from_points(x)
     est = estimate(CHI2, MV, s, options=FAST)
-    se = est.stderr(s.n)[0]
+    se = est.stderr()[0]
     assert abs(est.theta_hat[0] - 1.0 / 3.0) <= 3.0 * se
     assert est.divergence_hat >= -1e-10
     assert est.sigma2_hat >= 0.0
@@ -145,14 +145,13 @@ def test_variance_blocks_shapes(rng):
     x = rng.uniform(-1.0, 1.2, size=200)
     s = WeightedSample.from_points(x)
     est = estimate(KLM, MV, s, options=FAST)
-    v, sigma2, s_mat, m_mat, w_mat = variance_blocks(
-        KLM, MV, s, est.theta_hat, est.t_hat)
+    v, s_mat, m_mat, w_mat = variance_blocks(KLM, MV, s, est.theta_hat, est.t_hat)
     dim = 1 + MV.l + MV.d
     assert v.shape == (1, 1)
     assert s_mat.shape == (dim, dim)
     assert m_mat.shape == (dim, dim)
     assert w_mat.shape == (dim, dim)
-    assert sigma2 >= 0.0
+    assert est.sigma2_hat >= 0.0
     assert np.allclose(s_mat, s_mat.T, atol=1e-8)
     assert np.allclose(m_mat, m_mat.T, atol=1e-10)
     assert np.all(np.linalg.eigvalsh(m_mat) >= -1e-10)

@@ -60,6 +60,9 @@ def test_weighted_sample_validation():
         WeightedSample(np.array([1.0, 2.0]), np.array([0.7, 0.7]))
     with pytest.raises(DataError):
         WeightedSample(np.array([1.0, 2.0]), np.array([1.5, -0.5]))
+    # an atom without mass is not support: it would still bound dom psi
+    with pytest.raises(DataError, match="weights must be positive"):
+        WeightedSample(np.array([-1.0, 0.0, 1.0, 100.0]), np.array([0.5, 0.25, 0.25, 0.0]))
     with pytest.raises(DataError):
         WeightedSample(np.empty((0, 1)), np.empty(0))
     for empty in ([], np.empty(0), np.empty((0, 2))):
