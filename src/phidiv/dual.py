@@ -92,13 +92,14 @@ def _objective(fam, w, u, t):
     return float(t[0] - w @ vals)
 
 
-def _grad_hess(fam, A, w, u):
-    s1 = w * fam.psi_d1(u)
-    s2 = w * fam.psi_d2(u)
-    grad = -(A.T @ s1)
+def _grad(fam, A, w, u):
+    grad = -(A.T @ (w * fam.psi_d1(u)))
     grad[0] += 1.0
-    hess = -((A * s2[:, None]).T @ A)
-    return grad, hess
+    return grad
+
+
+def _hess(fam, A, w, u):
+    return -((A * (w * fam.psi_d2(u))[:, None]).T @ A)
 
 
 # The requests _newton yields, each answered with numbers that depend on A, w
@@ -130,9 +131,10 @@ def _newton(t, tol, stop):
 
       _EVAL   t                 -> (u = A t, f(t)); at the start, with no
                                    feasibility test
-      _GRAD   u                 -> (grad, hess, max |grad|) at u = A t
-      _SOLVE  (hess, grad)      -> (step solving -hess step = grad, ridge
-                                   used, grad . step, step finite)
+      _GRAD   u                 -> (grad, max |grad|) at u = A t
+      _SOLVE  (u, grad)         -> (step solving -hess step = grad, hess the
+                                   Hessian at u, ridge used, grad . step,
+                                   step finite)
       _TRIAL  (t, alpha, step)  -> (cand = t + alpha step, A cand, f(cand) or
                                    None when A cand is not MARGIN inside
                                    dom psi)
@@ -154,13 +156,13 @@ def _newton(t, tol, stop):
     status = "max-iterations"
     it = 0
     for it in range(1, MAX_ITER + 1):
-        grad, hess, gnorm = yield _GRAD, u
+        grad, gnorm = yield _GRAD, u
         if gnorm <= tol * (1.0 + abs(f)):
             # a vanishing gradient at an enormous iterate is the slow escape
             # of a log-type criterion toward its boundary, not an optimum
             status = "unbounded" if abs(t).max() > T_SOFT else "converged"
             break
-        step, ridge, gts, finite = yield _SOLVE, (hess, grad)
+        step, ridge, gts, finite = yield _SOLVE, (u, grad)
         diag["ridge_used"] |= ridge
         if not finite or gts <= 0.0:
             step = grad / max(1.0, gnorm)  # steepest-ascent fallback
@@ -227,11 +229,11 @@ def _answer(fam, A, w, kind, x):
             return cand, ucand, _objective(fam, w, ucand, cand)
         return cand, ucand, None
     if kind == _GRAD:
-        grad, hess = _grad_hess(fam, A, w, x)
-        return grad, hess, float(abs(grad).max())
+        grad = _grad(fam, A, w, x)
+        return grad, float(abs(grad).max())
     if kind == _SOLVE:
-        hess, grad = x
-        step, ridge = _solve_psd(-hess, grad)
+        u, grad = x
+        step, ridge = _solve_psd(-_hess(fam, A, w, u), grad)
         return step, ridge, float(grad @ step), np.isfinite(step).all()
     u = A @ x
     return u, _objective(fam, w, u, x)
@@ -277,18 +279,16 @@ def _newton_ascent_stack(fam, A, w, t0, tol, stop):
         U = _matvec(Ak, T)
         return zip(U, _objective_rows(fam, w, U, T).tolist())
 
-    def grad_hess(Ak, us):
-        U = np.array(us)
-        s1 = w * fam.psi_d1(U)
+    def gradient(Ak, us):
+        s1 = w * fam.psi_d1(np.array(us))
         grad = -np.matmul(Ak.transpose(0, 2, 1), s1[:, :, None])[:, :, 0]
         grad[:, 0] += 1.0
-        s2 = w * fam.psi_d2(U)
-        del U, s1
-        hess = -np.matmul((Ak * s2[:, :, None]).transpose(0, 2, 1), Ak)
-        return zip(grad, hess, abs(grad).max(axis=1).tolist())
+        return zip(grad, abs(grad).max(axis=1).tolist())
 
     def solve(Ak, pairs):
-        neg_h = -np.array([h for h, _ in pairs])
+        s2 = w * fam.psi_d2(np.array([u for u, _ in pairs]))
+        # -_hess of each slice: negating twice is exact
+        neg_h = np.matmul((Ak * s2[:, :, None]).transpose(0, 2, 1), Ak)
         grad = np.array([g for _, g in pairs])
         ridge = [False] * len(pairs)
         try:  # _solve_psd's first attempt: + 0 * I turns -0.0 into 0.0 too
@@ -314,7 +314,7 @@ def _newton_ascent_stack(fam, A, w, t0, tol, stop):
         fc = [v if ok else None for v, ok in zip(fc.tolist(), feas.tolist())]
         return zip(cand, ucand, fc)
 
-    answer = (evaluate, trial, solve, grad_hess)  # indexed by request kind
+    answer = (evaluate, trial, solve, gradient)  # indexed by request kind
     gens = [_newton(t, tol, stop) for t in np.array(t0, dtype=float)]
     requests = [next(gen) for gen in gens]
     results = [None] * K

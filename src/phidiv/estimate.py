@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dual import (TOL, DualSolution, _augmented, _chunks, chi2_objectives,
+from .dual import (TOL, DualSolution, _augmented, _chunks, _dot_rows, chi2_objectives,
                    criterion_variance, solve_inner, solve_inner_many)
 from .errors import EstimationError, PhidivError, RankDeficiencyError
 from .families import CHI2
@@ -138,13 +138,36 @@ def _start_design(model, options):
     return pool, _latin_hypercube(rng, max(options.n_starts - 1, 0), lo, hi)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in chi2_objectives
+def _affine_lead(model, sample, pool):
+    """First argmin over pool of the chi2 profile 1/2 gbar' S^-1 gbar, exact for the
+    model's jacobian J: gbar = gbar(pool[0]) + J (theta - pool[0]), S the w-centred
+    covariance of g; chi2_objectives picks another only on profiles equal to rounding
+    (default pools: 1.2 apart).  None (score the pool) if g raises or a Gram matrix
+    [1, gbar'; gbar, S + gbar gbar'] is not finite or not 1e4 clear of _singular."""
+    try:
+        g = model.g_values(sample.points, pool[0])
+    except Exception:  # chi2_objectives gives the sample this error
+        return None
+    gbar = sample.weights @ g
+    g = g - gbar  # not in place: g may be the caller's
+    sigma = (g * sample.weights[:, None]).T @ g
+    gbar = gbar + (pool - pool[0]) @ model.jacobian.T
+    a = np.hstack((np.ones((len(pool), 1)), gbar))
+    gram = a[:, :, None] * a[:, None, :] + np.pad(sigma, (1, 0))
+    evals = np.linalg.eigvalsh(gram) if np.isfinite(gram).all() else np.zeros(2)
+    if not (evals[..., 0] > 1e-8 * np.maximum(evals[..., -1], 1.0)).all():
+        return None
+    return int(np.argmin(_dot_rows(gbar, np.linalg.solve(sigma, gbar.T).T)))
+
+
 def _outer_minimize(fam, model, sample, theta0, options):
     """Projected BFGS descent of the profile from one start; each inner
     solve is asked for by yielding (fam, theta, init) and answered with
     its DualSolution, solved from init at options.inner_tol."""
     lo, hi = model.theta_lo, model.theta_hi
     d = model.d
-    theta = model.clip_theta(theta0)
+    theta = np.clip(np.asarray(theta0, dtype=float), lo, hi)
     sol = yield fam, theta, None
     val = sol.value
     if not np.isfinite(val):
@@ -153,14 +176,14 @@ def _outer_minimize(fam, model, sample, theta0, options):
     hinv = np.eye(d)
     iters = 0
     for iters in range(1, options.outer_max_iter + 1):
-        pg = grad.copy()
-        pg[(theta <= lo) & (grad > 0)] = 0.0
-        pg[(theta >= hi) & (grad < 0)] = 0.0
+        held = ((theta <= lo) & (grad > 0)) | ((theta >= hi) & (grad < 0))  # on a face
+        pg = np.where(held, 0.0, grad)  # d = 1: a held theta ends the search
         if abs(pg).max() <= options.outer_tol * (1.0 + abs(val)):
             break
-        p = -(hinv @ grad)
+        p = -(hinv @ pg)
+        p[held] = 0.0
         if p @ grad >= 0.0:
-            p = -grad
+            p = -pg
         alpha, accepted = 1.0, False
         cand, cval, csol = theta, val, sol
         for _ in range(40):
@@ -308,10 +331,10 @@ def _lockstep(fam, model, samples, options):
     """Fit samples together; returns, in order, each one's
     EstimationResult or the PhidivError its fit raised.
 
-    Each sample with more observations than moment functions gets the start
-    pool of _start_design, all pools scored by one chi2_objectives call:
-    its lead start is the candidate of least quadratic profile (a singular
-    Gram matrix scores inf), and any other scoring error is its result.
+    Each sample with more observations than moment functions starts from the
+    _start_design pool's candidate of least quadratic profile: _affine_lead's,
+    or else by one chi2_objectives call for all such pools (a singular Gram
+    matrix scores inf, any other scoring error is the sample's result).
     Then one _fit generator per sample asks for its inner solves, and each
     round answers every pending request of one family with one
     solve_inner_many call at options.inner_tol.  The quadratic search, which
@@ -324,8 +347,10 @@ def _lockstep(fam, model, samples, options):
            for sample in samples]
     sized = [i for i, est in enumerate(out) if est is None]
     pool, extra = _start_design(model, options)
+    lead = {i: _affine_lead(model, samples[i], pool) for i in sized
+            if model.jacobian is not None}
     scores = iter(chi2_objectives(model, [(samples[i], theta) for i in sized
-                                          for theta in pool]))
+                                          if lead.get(i) is None for theta in pool]))
     fits, waiting = {}, {CHI2: [], fam: []}  # (i, theta, init) per family
 
     def advance(i, reply=None):
@@ -340,16 +365,17 @@ def _lockstep(fam, model, samples, options):
             waiting[f].append((i, theta, init))
 
     for i in sized:
-        vals = [next(scores) for _ in pool]
-        out[i] = next((v for v in vals if isinstance(v, Exception)
-                       and not isinstance(v, RankDeficiencyError)), None)
+        if lead.get(i) is None:
+            vals = [next(scores) for _ in pool]
+            out[i] = next((v for v in vals if isinstance(v, Exception)
+                           and not isinstance(v, RankDeficiencyError)), None)
+            if out[i] is not None and not isinstance(out[i], PhidivError):
+                raise out[i]
+            lead[i] = np.argsort([np.inf if isinstance(v, Exception) else v
+                                  for v in vals], kind="stable")[0]
         if out[i] is None:
-            order = np.argsort([np.inf if isinstance(v, Exception) else v for v in vals],
-                               kind="stable")
-            fits[i] = _fit(fam, model, samples[i], options, pool[order[0]], extra)
+            fits[i] = _fit(fam, model, samples[i], options, pool[lead[i]], extra)
             advance(i)
-        elif not isinstance(out[i], PhidivError):
-            raise out[i]
     while True:  # one round: the first family with waiting fits, CHI2 first
         for f, queue in waiting.items():
             if queue:

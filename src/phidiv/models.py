@@ -29,10 +29,15 @@ class MomentModel:
     g_jac: Callable[[np.ndarray, np.ndarray], np.ndarray]
     theta_lo: np.ndarray = field(default=None)
     theta_hi: np.ndarray = field(default=None)
+    jacobian: np.ndarray = field(default=None)  # J of an affine g(x, theta0) + J (theta - theta0)
 
     def __post_init__(self):
         if self.l < self.d:
             raise ValueError("need at least as many moment functions as parameters")
+        jac = None if self.jacobian is None else np.array(self.jacobian, dtype=float)
+        if jac is not None and (jac.shape != (self.l, self.d) or not np.isfinite(jac).all()):
+            raise ValueError(f"jacobian must be a finite {self.l} x {self.d} matrix")
+        object.__setattr__(self, "jacobian", jac)
         lo = np.full(self.d, -10.0) if self.theta_lo is None else np.broadcast_to(
             np.asarray(self.theta_lo, dtype=float), (self.d,)).copy()
         hi = np.full(self.d, 10.0) if self.theta_hi is None else np.broadcast_to(
@@ -50,9 +55,6 @@ class MomentModel:
         if not ((theta >= self.theta_lo).all() and (theta <= self.theta_hi).all()):
             raise ParameterSpaceError(f"theta={theta} outside the parameter box")
         return theta
-
-    def clip_theta(self, theta):
-        return np.clip(np.asarray(theta, dtype=float), self.theta_lo, self.theta_hi)
 
     def g_values(self, points, theta):
         """Moment function at every point; (n, l)."""
@@ -118,7 +120,7 @@ def builtin_model(name, m=1, theta_lo=None, theta_hi=None):
             n = x.shape[0]
             return np.broadcast_to(-np.eye(m), (n, m, m))
 
-        return MomentModel("mean", m, m, m, g, g_jac, theta_lo, theta_hi)
+        return MomentModel("mean", m, m, m, g, g_jac, theta_lo, theta_hi, -np.eye(m))
     if name == "mean-variance":
         def g(x, theta):
             x0 = x[:, 0]
@@ -130,7 +132,7 @@ def builtin_model(name, m=1, theta_lo=None, theta_hi=None):
             jac[:, 1, 0] = -1.0
             return jac
 
-        return MomentModel("mean-variance", 1, 1, 2, g, g_jac, theta_lo, theta_hi)
+        return MomentModel("mean-variance", 1, 1, 2, g, g_jac, theta_lo, theta_hi, [[0], [-1]])
     raise ValueError(f"unknown builtin model: {name!r}")
 
 

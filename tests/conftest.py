@@ -215,7 +215,8 @@ def estimate_one_at_a_time(fam, model, sample, options=None):
     by chi2_closed_form (a singular Gram matrix scores inf, any other error
     is raised), then the fit generator's inner solves answered one by one
     by solve_inner_many on one problem, its set-up errors raised.  estimate
-    and estimate_many must equal it bit for bit."""
+    and estimate_many must equal it bit for bit, also for a model that
+    declares its jacobian, whose lead they pick without scoring the pool."""
     options = options or EstimateOptions()
     if sample.n <= model.l:
         raise EstimationError(

@@ -18,8 +18,9 @@ from phidiv import test_theta_composite as composite_test
 from phidiv import test_theta_simple as simple_test
 from phidiv.estimate import profile_gradient, profile_objective
 from phidiv.families import power_family
-from phidiv.simulate import (MC_OPTIONS, SimulationPlan, generate, mc_power,
-                             reproduce_figure1)
+from phidiv.estimate import estimate_many
+from phidiv.simulate import (MC_OPTIONS, SimulationPlan, discretize_uniform, generate,
+                             mc_power, reproduce_figure1)
 
 from conftest import (el_reduced_solve, numeric_conjugate, primal_grid,
                       primal_quadratic, psi_derivs, random_feasible_instance)
@@ -228,6 +229,32 @@ def test_criterion_08_asymptotic_variance():
     assert rel <= 0.25
     print(f"\nPASS criterion 8: MC variance {mc_var:.4f} vs reference "
           f"V={v_hat:.4f} (4/45={4/45:.4f}), relative error {rel:.1%} <= 25%")
+
+
+@pytest.mark.parametrize("fam", [KLM, HELLINGER], ids=lambda f: f.name)
+def test_criterion_12_misspecified_limits(fam):
+    # the model is false at epsilon = 1: the limit laws at the pseudo-true
+    # theta* are the sandwich W_thetatheta for theta-hat and sigma^2 for the
+    # divergence, not the null's V; the bound was fixed before the test ran
+    bound = 0.15
+    pop = estimate(fam, MV, discretize_uniform(-1.0, 2.0, 20_000))
+    plan = SimulationPlan(model="mean-variance", family=fam.name, n_list=(500,),
+                          runs=1000, epsilon_grid=(1.0,), seed=5)
+    samples = [generate(plan, 0, rep) for rep in range(plan.runs)]
+    fits = list(estimate_many(fam, MV, samples, MC_OPTIONS))
+    assert not [f for f in fits if isinstance(f, Exception)]
+    n = plan.n_list[0]
+    var_theta = n * float(np.var([f.theta_hat[0] - pop.theta_hat[0] for f in fits]))
+    var_div = n * float(np.var([f.divergence_hat for f in fits]))
+    w_rel = var_theta / pop.W_hat[-1, -1] - 1.0
+    s_rel = var_div / pop.sigma2_hat - 1.0
+    v_rel = var_theta / pop.V_hat[0, 0] - 1.0
+    assert abs(w_rel) <= bound and abs(s_rel) <= bound
+    assert abs(v_rel) > bound
+    print(f"\nPASS criterion 12 ({fam.name}): n Var(theta-hat) {var_theta:.4f} vs "
+          f"W {pop.W_hat[-1, -1]:.4f} ({w_rel:+.1%}), n Var(D-hat) {var_div:.4f} vs "
+          f"sigma^2 {pop.sigma2_hat:.4f} ({s_rel:+.1%}), both within {bound:.0%}; "
+          f"V {pop.V_hat[0, 0]:.4f} ({v_rel:+.1%}) refused")
 
 
 @pytest.fixture(scope="module")

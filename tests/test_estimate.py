@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from phidiv import (CHI2, KL, KLM, DomainError, EstimateOptions, EstimationError,
-                    MomentModel, PhidivError, WeightedSample, dual, estimate,
-                    family, get_model, profile_gradient, profile_objective)
+                    MomentModel, PhidivError, WeightedSample, builtin_model, dual,
+                    estimate, family, get_model, profile_gradient, profile_objective)
 from phidiv.dual import solve_inner_many
 from phidiv.estimate import _lockstep, estimate_many, variance_blocks
 from phidiv.inference import test_models as model_tests
@@ -222,6 +222,60 @@ def test_estimates_equal_one_at_a_time_reference(spec, sizes, seed, n_starts, mc
         mp.setattr(dual, "STACK_BYTES", stack_bytes)
         assert [fit_bits(r) for r in estimate_many(fam, MV, samples, options)] == want
         assert [fit_bits(outcome(estimate, fam, MV, s, options)) for s in samples] == want
+
+
+@given(name=st.sampled_from(["mean", "mean-variance", "mean:2"]),
+       spec=st.sampled_from(["KLm", "KL", "chi2", "hellinger"]),
+       n=st.integers(4, 300), dirichlet=st.booleans(), mc=st.booleans(),
+       pool_seed=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+@example("mean:2", "KLm", 4, False, False, 0, 1)
+@settings(max_examples=25, deadline=None)
+def test_declared_jacobian_fits_equal_one_at_a_time_reference(name, spec, n, dirichlet,
+                                                              mc, pool_seed, seed):
+    # the lead start of a model that declares its jacobian comes from the
+    # quadratic in closed form; the reference scores the pool by solves.
+    # mean:2 (l = d = 2) is the only two-parameter affine model
+    model = builtin_model("mean", m=2) if name == "mean:2" else get_model(name)
+    assert model.jacobian is not None
+    rng = np.random.default_rng(seed)
+    w = rng.dirichlet(np.ones(n)) if dirichlet else np.full(n, 1.0 / n)
+    samples = [WeightedSample(rng.uniform(-1.0, 1.0 + rng.random(), (n, model.m)), w)
+               for _ in range(2)]
+    fam = family(spec)
+    options = replace(MC_OPTIONS if mc else EstimateOptions(), seed=pool_seed)
+    want = [fit_bits(outcome(estimate_one_at_a_time, fam, model, s, options))
+            for s in samples]
+    assert [fit_bits(r) for r in estimate_many(fam, model, samples, options)] == want
+    assert [fit_bits(outcome(estimate, fam, model, s, options)) for s in samples] == want
+
+
+def test_declared_jacobian_scores_only_the_fallback_samples(monkeypatch):
+    # tied atoms (a singular Sigma: every pool score inf, lead pool[0]) and
+    # overflowing moment functions (DomainError) are scored by solves, with
+    # the reference's result and message; the other samples by no solve
+    rng = np.random.default_rng(21)
+    tied = WeightedSample.from_points(rng.choice(rng.uniform(-1.0, 1.0, 2), 40))
+    big = overflowing_sample(rng, 40)
+    good = [WeightedSample.from_points(rng.uniform(-1.0, 1.3, 40)) for _ in range(2)]
+    batch = [good[0], tied, big, good[1]]
+    want = [fit_bits(outcome(estimate_one_at_a_time, KLM, MV, s)) for s in batch]
+    assert want[2][0] == "DomainError" and "not finite" in want[2][1]
+    module = importlib.import_module("phidiv.estimate")
+    real, scored = module.chi2_objectives, []  # the samples of every scored problem
+    monkeypatch.setattr(module, "chi2_objectives", lambda model, problems: scored.extend(
+        s for s, _ in problems) or real(model, problems))
+    assert [fit_bits(r) for r in estimate_many(KLM, MV, batch)] == want
+    assert {id(s) for s in scored} == {id(tied), id(big)}
+    scored.clear()
+    assert [fit_bits(outcome(estimate, KLM, MV, s)) for s in good] == [want[0], want[3]]
+    assert scored == []
+    # mixed samples: tied atoms, too few observations and Dirichlet weights
+    samples = mixed_samples(np.random.default_rng(4), [2, 12, 40, 12, 3])
+    want = [fit_bits(outcome(estimate_one_at_a_time, KL, MV, s)) for s in samples]
+    scored.clear()
+    assert [fit_bits(r) for r in estimate_many(KL, MV, samples)] == want
+    assert {id(s) for s in scored} == {
+        id(s) for s in samples if s.n > MV.l and np.unique(s.points).size <= 2} != set()
 
 
 def test_estimate_many_takes_any_samples():

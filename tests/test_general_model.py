@@ -87,11 +87,16 @@ def test_fit_lands_on_the_variance_face():
     # sample variance 9.1e-4, below the box's 1e-3: the minimum is on the face
     x = 0.03 * np.random.default_rng(6).normal(size=200)
     sample = WeightedSample.from_points(x)
-    est = estimate(KLM, SYMMETRIC, sample, EstimateOptions(theta0=(0.0, 0.004)))
-    assert est.theta_hat[1] == 1e-3 and est.inner.converged
-    assert abs(est.theta_hat[0] - x.mean()) < 1e-3
-    # the profile still falls toward smaller v: the face holds the fit
-    assert profile_gradient(KLM, SYMMETRIC, sample, est.theta_hat, est.inner)[1] > 0.0
+    for fam in (KLM, KL, CHI2):
+        est = estimate(fam, SYMMETRIC, sample, EstimateOptions(theta0=(0.0, 0.004)))
+        assert est.theta_hat[1] == 1e-3 and est.inner.converged, fam.name
+        assert abs(est.theta_hat[0] - x.mean()) < 1e-3, fam.name
+        # the profile still falls toward smaller v: the face holds the fit
+        assert profile_gradient(fam, SYMMETRIC, sample, est.theta_hat, est.inner)[1] > 0.0
+        # the search moves mu along the face: a direction that kept moving v
+        # was cut by the box (KL ended at 0.0107, chi2 at 1.79)
+        face, _ = profile_objective(fam, SYMMETRIC, sample, [x.mean(), 1e-3])
+        assert est.divergence_hat <= face + 1e-4, (fam.name, est.divergence_hat, face)
 
 
 def test_model_test_null_calibration_at_n_1000():

@@ -37,6 +37,10 @@ def test_builtin_dimensions():
     assert (mv.m, mv.l, mv.d) == (1, 2, 1)
     m3 = builtin_model("mean", m=3)
     assert (m3.l, m3.d) == (3, 3)
+    # the declared constant Jacobian is the one g_jac gives at every point
+    x = np.random.default_rng(0).normal(size=(5, 3))
+    for model, theta in ((mv, [0.4]), (m3, [0.1, -0.2, 0.3])):
+        assert (model.jac_values(x[:, :model.m], theta) == model.jacobian).all()
     with pytest.raises(ValueError):
         builtin_model("nope")
 
@@ -78,6 +82,14 @@ def test_weighted_sample_validation():
     assert s.n == 3
     assert s.points.shape == (3, 1)
     assert np.allclose(s.weights, 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("jacobian", [[[-1.0]], [[0.0, -1.0]], [0.0, -1.0],
+                                      [[0.0], [np.nan]], [[0.0], [np.inf]]])
+def test_model_refuses_a_jacobian_that_is_not_a_finite_l_by_d_matrix(jacobian):
+    mv = builtin_model("mean-variance")
+    with pytest.raises(ValueError, match="jacobian must be a finite 2 x 1 matrix"):
+        MomentModel("bad", mv.m, mv.d, mv.l, mv.g, mv.g_jac, jacobian=jacobian)
 
 
 def test_register_model_roundtrip():
