@@ -54,6 +54,15 @@ def _parse_real(text):
     return value
 
 
+def _probability(text):
+    """_parse_real strictly inside (0, 1); anything else raises ValueError,
+    which argparse reports as a usage error."""
+    value = _parse_real(text)
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{text!r} is not inside (0, 1)")
+    return value
+
+
 def _positive_int(text):
     """Integer >= 1; anything else raises ValueError, which argparse reports
     as a usage error."""
@@ -194,7 +203,7 @@ def _add_common_data_flags(p):
     p.add_argument("--family", default="KLm",
                    help="KLm | KL | chi2 | chi2m | hellinger | power:GAMMA")
     p.add_argument("--header", action="store_true", help="skip the first CSV row")
-    p.add_argument("--alpha", type=_parse_real, default=0.05)
+    p.add_argument("--alpha", type=_probability, default=0.05)
     p.add_argument("--starts", type=_positive_int, default=5)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", default=None, help="write JSON result here")
@@ -222,14 +231,14 @@ def build_parser():
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("power", help="analytic power approximation")
-    for name, typ in (("--n", _positive_int), ("--alpha", _parse_real),
+    for name, typ in (("--n", _positive_int), ("--alpha", _probability),
                       ("--df", _positive_int), ("--div", _parse_real), ("--sigma", _parse_real)):
         p.add_argument(name, type=typ, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_power)
 
     p = sub.add_parser("samplesize", help="sample size for a target power")
-    for name, typ in (("--beta", _parse_real), ("--alpha", _parse_real),
+    for name, typ in (("--beta", _probability), ("--alpha", _probability),
                       ("--df", _positive_int), ("--div", _parse_real), ("--sigma", _parse_real)):
         p.add_argument(name, type=typ, required=True)
     p.add_argument("--out", default=None)
@@ -246,7 +255,7 @@ def build_parser():
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--family", default="KLm")
     p.add_argument("--runs", type=_positive_int, default=DEFAULT_RUNS)
-    p.add_argument("--alpha", type=_parse_real, default=0.05)
+    p.add_argument("--alpha", type=_probability, default=0.05)
     p.add_argument("--threads", type=_positive_int, default=1)
     p.add_argument("--eps-grid", default=None, help="lo:hi:steps")
     p.add_argument("--n-list", type=_parse_sizes, default=DEFAULT_N_LIST,

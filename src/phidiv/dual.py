@@ -55,6 +55,13 @@ class DualSolution:
         return self.objective if self.converged else math.inf
 
     @property
+    def sigma2(self):
+        """Variance under the weights w of the criterion integrand t_0 - psi(u)."""
+        m_vals = self.t[0] - _psi_arr(self.fam.gamma, self.u)
+        mbar = float(self.w @ m_vals)
+        return float(self.w @ (m_vals ** 2) - mbar ** 2)
+
+    @property
     def weights(self):
         """Projection weights Q_i = w_i psi'(u_i), None unless the solve
         reached an optimum; computed from u on each access, so a kept
@@ -354,20 +361,10 @@ def _solve_psd(neg_h, grad):
 
 
 def _singular(evals):
-    """Whether a Gram matrix with ascending eigenvalues evals (last axis)
-    counts as singular: the smallest is not above 1e-12 of the largest, or
-    of 1 (so nan eigenvalues count as singular)."""
-    return ~(evals[..., 0] > 1e-12 * np.maximum(evals[..., -1], 1.0))
-
-
-def _chi2_system(A, w):
-    """gram = A' diag(w) A and rhs = e_0 - A' w of the quadratic dual's
-    system gram t = rhs, for one design (n, p) or a stack (K, n, p), by one
-    design's BLAS call on every slice."""
-    gram = (A * w[:, None]).swapaxes(-1, -2) @ A
-    rhs = -(w @ A)
-    rhs.T[0] += 1.0  # rhs[..., 0], without a slow 0-d view for one design
-    return gram, rhs
+    """Whether a Gram matrix with ascending eigenvalues evals counts as
+    singular: the smallest is not above 1e-12 of the largest, or of 1 (so
+    nan eigenvalues count as singular)."""
+    return not evals[0] > 1e-12 * max(evals[-1], 1.0)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as in solve_inner_many
@@ -379,7 +376,9 @@ def chi2_closed_form(model, sample, theta, A=None):
     if A is None:
         A = _augmented(model, sample, model.check_theta(theta))
     w = sample.weights
-    gram, rhs = _chi2_system(A, w)
+    gram = (A * w[:, None]).T @ A  # the system gram t = rhs
+    rhs = -(w @ A)
+    rhs[0] += 1.0
     try:
         evals, evecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError:  # as it does on most matrices holding nan
@@ -399,51 +398,6 @@ def chi2_closed_form(model, sample, theta, A=None):
     grad = rhs - gram @ t
     return DualSolution(t, u, obj, "converged", 1, float(abs(grad).max()),
                         {"closed_form": True}, CHI2, w)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # as in solve_inner_many
-def chi2_objectives(model, problems):
-    """chi2_closed_form(model, sample, theta).objective for every (sample,
-    theta) of problems, or the error it raises, in order.
-
-    Each chunk of _chunks is solved as one stack: _chi2_system, then
-    stacked solve and matmul, each the BLAS or LAPACK call chi2_closed_form
-    makes on one slice, so each value is its bits (chi2_closed_form keeps
-    its own solve: the [..., None] indexing of a shape-generic one cost it
-    5-7 % at n = 50, one BLAS thread).  A slice the stack does not settle
-    (a singular or non-finite Gram matrix, a failed LAPACK call) goes to
-    chi2_closed_form alone, for its error, as does a design alone in its
-    chunk: a stack of one would double its memory.
-    """
-    out = []
-    for chunk in _chunks(model, problems):
-        designs, todo = [], []
-        for sample, theta in chunk:
-            try:
-                designs.append(_augmented(model, sample, model.check_theta(theta)))
-                todo.append((len(out), sample, theta))
-                out.append(None)
-            except Exception as exc:  # handed to the caller in place of the value
-                out.append(exc)
-        settled, objs = [False] * len(designs), iter(())
-        if len(designs) > 1:
-            designs = np.stack(designs)
-            w = chunk[0][0].weights
-            try:
-                gram, rhs = _chi2_system(designs, w)
-                ok = ~_singular(np.linalg.eigh(gram)[0])
-                t = np.linalg.solve(gram[ok], rhs[ok][:, :, None])[:, :, 0]
-                objs = iter(_objective_rows(CHI2, w, _matvec(designs[ok], t), t).tolist())
-                settled = ok.tolist()
-            except np.linalg.LinAlgError:
-                pass
-        for j, (i, sample, theta) in enumerate(todo):  # by index: no design stays bound
-            try:
-                out[i] = next(objs) if settled[j] else \
-                    chi2_closed_form(model, sample, theta, designs[j]).objective
-            except Exception as exc:  # as above
-                out[i] = exc
-    return out
 
 
 def _shrink_feasible(fam, A, t):
@@ -493,11 +447,11 @@ def _prepare(fam, model, sample, theta, init):
     return A, t0, None
 
 
-# Byte budget of the design tensor of one stacked call (solve_inner_many,
-# chi2_objectives) and of one lockstep batch of fits; the other stacked
-# arrays are a fixed multiple of it.  At n = 200 and l = 2 a stack holds 13
-# problems: twice that ran no faster per problem and raised the peak
-# resident memory of a confidence scan by 2 % instead of 1 %.
+# Byte budget of the design tensor of one stacked solve_inner_many call and
+# of one lockstep batch of fits; the other stacked arrays are a fixed
+# multiple of it.  At n = 200 and l = 2 a stack holds 13 problems: twice
+# that ran no faster per problem and raised the peak resident memory of a
+# confidence scan by 2 % instead of 1 %.
 STACK_BYTES = 1 << 16
 
 
@@ -577,9 +531,3 @@ def solve_inner(fam, model, sample, theta):
     set-up errors raised."""
     return next(solve_inner_many(fam, model, [(sample, theta, None)], hold_errors=False))
 
-
-def criterion_variance(fam, w, u, t0):
-    """Variance under the weights w of the criterion integrand t0 - psi(u)."""
-    m_vals = t0 - _psi_arr(fam.gamma, u)
-    mbar = float(w @ m_vals)
-    return float(w @ (m_vals ** 2) - mbar ** 2)

@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .dual import (TOL, DualSolution, _augmented, _chunks, _dot_rows, chi2_objectives,
-                   criterion_variance, solve_inner, solve_inner_many)
+from .dual import (TOL, DualSolution, _augmented, _chunks, _dot_rows, chi2_closed_form,
+                   solve_inner, solve_inner_many)
 from .errors import EstimationError, PhidivError, RankDeficiencyError
 from .families import CHI2
 
@@ -41,8 +41,10 @@ class EstimateOptions:
     theta0: tuple | None = None  # explicit extra start, overrides nothing else
 
     def __post_init__(self):
-        if not _int_at_least(self.seed, 0):
-            raise ValueError(f"seed must be an integer >= 0, not {self.seed!r}")
+        for name, lo in (("n_starts", 1), ("seed", 0), ("outer_max_iter", 0)):
+            if not _int_at_least(getattr(self, name), lo):
+                raise ValueError(f"{name} must be an integer >= {lo}, "
+                                 f"not {getattr(self, name)!r}")
 
 
 def _int_at_least(value, lo):
@@ -138,16 +140,16 @@ def _start_design(model, options):
     return pool, _latin_hypercube(rng, max(options.n_starts - 1, 0), lo, hi)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # as in chi2_objectives
+@np.errstate(over="ignore", invalid="ignore")  # as in chi2_closed_form
 def _affine_lead(model, sample, pool):
     """First argmin over pool of the chi2 profile 1/2 gbar' S^-1 gbar, exact for the
     model's jacobian J: gbar = gbar(pool[0]) + J (theta - pool[0]), S the w-centred
-    covariance of g; chi2_objectives picks another only on profiles equal to rounding
+    covariance of g; scoring the pool picks another only on profiles equal to rounding
     (default pools: 1.2 apart).  None (score the pool) if g raises or a Gram matrix
     [1, gbar'; gbar, S + gbar gbar'] is not finite or not 1e4 clear of _singular."""
     try:
         g = model.g_values(sample.points, pool[0])
-    except Exception:  # chi2_objectives gives the sample this error
+    except Exception:  # scoring the pool gives the sample this error
         return None
     gbar = sample.weights @ g
     g = g - gbar  # not in place: g may be the caller's
@@ -159,6 +161,23 @@ def _affine_lead(model, sample, pool):
     if not (evals[..., 0] > 1e-8 * np.maximum(evals[..., -1], 1.0)).all():
         return None
     return int(np.argmin(_dot_rows(gbar, np.linalg.solve(sigma, gbar.T).T)))
+
+
+def _lead(model, sample, pool):
+    """Index of the pool point of least quadratic profile: _affine_lead's pick
+    for a model that declares its jacobian, or else the first of least
+    chi2_closed_form objective (a singular Gram matrix scores inf, any other
+    error is raised)."""
+    lead = _affine_lead(model, sample, pool) if model.jacobian is not None else None
+    if lead is not None:
+        return lead
+    scores = []
+    for theta in pool:
+        try:
+            scores.append(chi2_closed_form(model, sample, theta).objective)
+        except RankDeficiencyError:
+            scores.append(np.inf)
+    return np.argsort(scores, kind="stable")[0]
 
 
 def _outer_minimize(fam, model, sample, theta0, options):
@@ -299,10 +318,9 @@ def _fit(fam, model, sample, options, lead, extra):
     if best is None:
         raise EstimationError("all starts failed", per_start)
     theta, val, sol, iters = best
-    sigma2 = criterion_variance(fam, sample.weights, sol.u, sol.t[0])
     diagnostics = {"outer_iterations": iters, "starts": per_start,
                    "inner_status": sol.status}
-    return EstimationResult(theta, sol.t, val, sigma2, sol, diagnostics,
+    return EstimationResult(theta, sol.t, val, sol.sigma2, sol, diagnostics,
                             (fam, model, sample))
 
 
@@ -332,25 +350,16 @@ def _lockstep(fam, model, samples, options):
     EstimationResult or the PhidivError its fit raised.
 
     Each sample with more observations than moment functions starts from the
-    _start_design pool's candidate of least quadratic profile: _affine_lead's,
-    or else by one chi2_objectives call for all such pools (a singular Gram
-    matrix scores inf, any other scoring error is the sample's result).
-    Then one _fit generator per sample asks for its inner solves, and each
-    round answers every pending request of one family with one
-    solve_inner_many call at options.inner_tol.  The quadratic search, which
-    every _fit runs first, is answered while any fit waits on it, which
-    keeps the fits in step.  An error in answering one fit is thrown into
-    its generator.
+    _start_design pool's point that _lead picks; a PhidivError raised there
+    is the sample's result.  Then one _fit generator per sample asks for
+    its inner solves, and each round answers every pending request of one
+    family with one solve_inner_many call at options.inner_tol.  The
+    quadratic search, which every _fit runs first, is answered while any
+    fit waits on it, which keeps the fits in step.  An error in answering
+    one fit is thrown into its generator.
     """
-    out = [EstimationError(f"need more observations ({sample.n}) than moment "
-                           f"functions ({model.l})") if sample.n <= model.l else None
-           for sample in samples]
-    sized = [i for i, est in enumerate(out) if est is None]
+    out = [None] * len(samples)
     pool, extra = _start_design(model, options)
-    lead = {i: _affine_lead(model, samples[i], pool) for i in sized
-            if model.jacobian is not None}
-    scores = iter(chi2_objectives(model, [(samples[i], theta) for i in sized
-                                          if lead.get(i) is None for theta in pool]))
     fits, waiting = {}, {CHI2: [], fam: []}  # (i, theta, init) per family
 
     def advance(i, reply=None):
@@ -364,18 +373,17 @@ def _lockstep(fam, model, samples, options):
         else:
             waiting[f].append((i, theta, init))
 
-    for i in sized:
-        if lead.get(i) is None:
-            vals = [next(scores) for _ in pool]
-            out[i] = next((v for v in vals if isinstance(v, Exception)
-                           and not isinstance(v, RankDeficiencyError)), None)
-            if out[i] is not None and not isinstance(out[i], PhidivError):
-                raise out[i]
-            lead[i] = np.argsort([np.inf if isinstance(v, Exception) else v
-                                  for v in vals], kind="stable")[0]
-        if out[i] is None:
-            fits[i] = _fit(fam, model, samples[i], options, pool[lead[i]], extra)
-            advance(i)
+    for i, sample in enumerate(samples):
+        try:
+            if sample.n <= model.l:
+                raise EstimationError(f"need more observations ({sample.n}) than "
+                                      f"moment functions ({model.l})")
+            lead = _lead(model, sample, pool)
+        except PhidivError as exc:
+            out[i] = exc
+            continue
+        fits[i] = _fit(fam, model, sample, options, pool[lead], extra)
+        advance(i)
     while True:  # one round: the first family with waiting fits, CHI2 first
         for f, queue in waiting.items():
             if queue:

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .distributions import chi2_cdf, chi2_quantile, normal_cdf, normal_quantile
-from .dual import criterion_variance, solve_inner, solve_inner_many
+from .dual import solve_inner, solve_inner_many
 from .errors import EstimationError, NotApplicableError, PhidivError
 from .estimate import EstimateOptions, estimate, estimate_many
 
@@ -104,11 +104,8 @@ def test_theta_simple(fam, model, sample, theta, alpha=0.05):
     if sol.status != "converged":
         return _report("simple-theta-test", INF, model.l, alpha,
                        flag=f"inner solve {sol.status}; treated as rejection")
-    n = sample.n
-    stat = 2.0 * n * sol.objective
-    # variance of the criterion integrand, for power work
-    sigma2 = criterion_variance(fam, sample.weights, sol.u, sol.t[0])
-    return _report("simple-theta-test", stat, model.l, alpha, sigma2)
+    stat = 2.0 * sample.n * sol.objective
+    return _report("simple-theta-test", stat, model.l, alpha, sol.sigma2)
 
 
 def _refit_if_missed(fam, model, sample, est, theta, value, options):
@@ -153,11 +150,14 @@ def confidence_region(fam, model, sample, alpha, grid, options=None):
     fit's tolerance, the fit is redone from the best such point before the
     statistics are formed.  A grid solve stops once its criterion rejects
     the point, with every output kept bit for bit (see the README).
-    Returns (accepted_points, empty_flag).
+    A grid of no points raises ValueError before the fit.  Returns
+    (accepted_points, empty_flag).
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[0] == 1 and grid.shape[1] != model.d:
         grid = grid.T
+    if not grid.size:
+        raise ValueError("grid has no points")
     est = estimate(fam, model, sample, options=options)
     crit = chi2_quantile(1.0 - alpha, model.d)
     stop = est.divergence_hat + crit / (2.0 * sample.n)

@@ -277,6 +277,25 @@ def test_bad_real_flag_is_usage_error(capsys, argv, flag, value):
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("value", ["0", "1", "1.5", "-0.5"])
+@pytest.mark.parametrize("argv, flag", [
+    (POWER, "--alpha"), (SAMPLESIZE, "--beta"), (SAMPLESIZE, "--alpha"),
+    (SIMULATE, "--alpha"), (["estimate", "--data", "unread.csv"], "--alpha"),
+    (["test", "model", "--data", "unread.csv"], "--alpha"),
+    (["test", "theta", "--theta", "0.3", "--data", "unread.csv"], "--alpha"),
+    (["test", "ratio", "--theta", "0.3", "--data", "unread.csv"], "--alpha"),
+    (["confidence", "--grid", "0:1:3", "--data", "unread.csv"], "--alpha"),
+])
+def test_probability_outside_the_unit_interval_is_usage_error(capsys, argv, flag, value):
+    # refused by the parser, before any file is read or any fit runs
+    argv = list(argv) + ([] if flag in argv else [flag, "0.05"])
+    argv[argv.index(flag) + 1] = value
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert f"{flag}: invalid _probability value" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("div, sigma", [("1e-200", "1"), ("1e-308", "1e308"),
                                         ("1e300", "1e-300")])
 def test_extreme_finite_samplesize_is_numeric_error(capsys, div, sigma):
@@ -411,11 +430,12 @@ def test_ratio_test_at_a_separated_theta_rejects(capsys, data_csv):
     assert report["flag"] == "inner solve unbounded; treated as rejection"
 
 
-@pytest.mark.parametrize("flags, code", [([], 0), (["--alpha=1.5"], 3),
+@pytest.mark.parametrize("flags, code", [([], 0), (["--n-list=20,2"], 3),
                                          (["--eps-grid=0.5:-2.5:2"], 3)])
 def test_simulate_plan_error_fits_no_sample(capsys, monkeypatch, flags, code):
-    # the plan is checked before the first fit: a bad alpha or epsilon
-    # costs no Monte Carlo work
+    # the plan is checked before the first fit: a sample size too small for
+    # the model or a bad epsilon costs no Monte Carlo work (a bad alpha is
+    # refused earlier, by the parser)
     fitted = []
     lockstep = estimate_module._lockstep
 

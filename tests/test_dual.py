@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,8 +7,7 @@ from phidiv import (CHI2, CHI2M, HELLINGER, KL, KLM, DomainError, ParameterSpace
                     RankDeficiencyError, WeightedSample, chi2_closed_form,
                     family, get_model, power_family, solve_inner)
 from phidiv import dual
-from phidiv.dual import (_augmented, _grad, _hess, _objective, chi2_objectives,
-                         solve_inner_many)
+from phidiv.dual import _augmented, _grad, _hess, _objective, solve_inner_many
 
 from conftest import (el_reduced_solve, overflowing_sample, primal_grid,
                       primal_quadratic, random_feasible_instance)
@@ -364,61 +361,19 @@ def test_grid_solve_equals_solve_inner_bit_for_bit(gamma, model_name, n, seed, t
     assert got == want
 
 
-def closed_form_bits(model, sample, theta):
-    try:
-        return chi2_closed_form(model, sample, theta).objective.hex()
-    except (RankDeficiencyError, DomainError) as exc:
-        return type(exc).__name__, str(exc)
-
-
-@given(n=st.integers(3, 200), seed=st.integers(0, 2 ** 32 - 1),
-       tie=st.sampled_from(["none", "exact", "near"]), npts=st.integers(1, 12),
-       stack_bytes=st.sampled_from([1 << 11, 1 << 16]), overflow=st.booleans())
-@example(50, 0, "none", 6, 1 << 16, True)
-@settings(max_examples=60, deadline=None)
-def test_stacked_closed_form_equals_chi2_closed_form(n, seed, tie, npts, stack_bytes,
-                                                     overflow):
-    # ties make the Gram matrix singular (RankDeficiencyError); a near tie
-    # puts its smallest eigenvalue close to the 1e-12 relative cut; points
-    # scaled by 1e160 overflow x^2, and the Gram matrix (DomainError)
-    rng = np.random.default_rng(seed)
-    samples = []
-    for _ in range(rng.integers(1, 4)):
-        x = rng.uniform(-1.0, 1.0 + rng.random(), n)
-        if tie != "none":
-            x = rng.choice(x[:2], n)
-        if tie == "near":
-            x[0] = x[-1] + 10.0 ** -rng.uniform(1.0, 7.0)
-        samples.append(WeightedSample.from_points(x))
-    if overflow:
-        samples.insert(rng.integers(len(samples) + 1), overflowing_sample(rng, n))
-    problems = [(s, [theta]) for s in samples for theta in rng.uniform(-1.0, 2.0, npts)]
-    with pytest.MonkeyPatch.context() as mp:  # small budgets: several stacks
-        mp.setattr(dual, "STACK_BYTES", stack_bytes)
-        got = [(type(v).__name__, str(v)) if isinstance(v, Exception) else v.hex()
-               for v in chi2_objectives(MV, problems)]
-    assert got == [closed_form_bits(MV, s, theta) for s, theta in problems]
-
-
-def interleaved_problems():
-    """(sample, theta) problems interleaving two weight vectors on one set of
-    50 points with a sample of 40 points, in runs of two to four."""
+def test_stacked_calls_take_any_samples():
+    # a stack holds one weight vector, so every problem is its lone solve,
+    # bit for bit, whatever its neighbours' weights and sizes: two weight
+    # vectors on one set of 50 points and a sample of 40 points, interleaved
+    # in runs of two to four
     rng = np.random.default_rng(21)
     x = rng.uniform(-1.0, 1.2, 50)
     a, b = WeightedSample.from_points(x), WeightedSample(x, rng.dirichlet(np.ones(50)))
     c = WeightedSample.from_points(rng.uniform(-1.0, 1.2, 40))
-    return [(s, [theta]) for s in (a, b, b, a, c, c, a) for theta in (0.3, 0.45)]
-
-
-def test_stacked_calls_take_any_samples():
-    # a stack holds one weight vector, so every problem is its lone solve,
-    # bit for bit, whatever its neighbours' weights and sizes
-    problems = interleaved_problems()
+    problems = [(s, [theta]) for s in (a, b, b, a, c, c, a) for theta in (0.3, 0.45)]
     got = solve_inner_many(KLM, MV, [(s, theta, None) for s, theta in problems])
     assert [solution_bits(sol) for sol in got] == \
         [solution_bits(solve_inner(KLM, MV, s, theta)) for s, theta in problems]
-    assert [v.hex() for v in chi2_objectives(MV, problems)] == \
-        [closed_form_bits(MV, s, theta) for s, theta in problems]
 
 
 def test_chunks_cut_at_the_budget_and_at_new_weights_lazily(monkeypatch):
@@ -436,44 +391,6 @@ def test_chunks_cut_at_the_budget_and_at_new_weights_lazily(monkeypatch):
     cuts = [([k for _, k in chunk], len(pulled)) for chunk in dual._chunks(MV, stream())]
     assert [keys for keys, _ in cuts] == [[0, 1, 2], [3], [4], [5]]
     assert all(seen <= keys[-1] + 2 for keys, seen in cuts)  # one item beyond at most
-
-
-def test_lone_design_goes_to_chi2_closed_form_unstacked(monkeypatch):
-    # a chunk of one problem is not stacked: chi2_closed_form solves it
-    s = WeightedSample.from_points(np.random.default_rng(2).uniform(-1.0, 1.2, 50))
-    problems = [(s, [theta]) for theta in np.linspace(0.1, 0.9, 5)]
-    want = [chi2_closed_form(MV, s, theta).objective for _, theta in problems]
-    calls = []
-
-    def counted(model, sample, theta, A=None):
-        calls.append((theta, A is None))
-        return chi2_closed_form(model, sample, theta, A)
-
-    monkeypatch.setattr(dual, "chi2_closed_form", counted)
-    monkeypatch.setattr(dual, "STACK_BYTES", 1)  # one problem a chunk
-    got = chi2_objectives(MV, problems)
-    assert [v.hex() for v in got] == [v.hex() for v in want]
-    assert calls == [(theta, False) for _, theta in problems]
-
-
-def traced_peak(fn):
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_pool_of_lone_designs_peaks_as_one_closed_form():
-    # at n = 20 000 a chunk holds one design: scoring a pool of 8 thetas
-    # holds one design and its temporaries at a time, never a stack of one
-    s = WeightedSample.from_points(np.random.default_rng(4).uniform(-1.0, 1.2, 20_000))
-    pool = np.linspace(0.1, 0.9, 8)
-    assert [len(chunk) for chunk in dual._chunks(MV, [(s,)] * 2)] == [1, 1]
-    one = traced_peak(lambda: chi2_closed_form(MV, s, [pool[0]]))
-    scored = traced_peak(lambda: chi2_objectives(MV, [(s, [theta]) for theta in pool]))
-    assert scored <= 1.1 * one
 
 
 def test_grid_raises_a_set_up_error_before_solving_its_chunk(monkeypatch):

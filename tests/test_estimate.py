@@ -261,9 +261,13 @@ def test_declared_jacobian_scores_only_the_fallback_samples(monkeypatch):
     want = [fit_bits(outcome(estimate_one_at_a_time, KLM, MV, s)) for s in batch]
     assert want[2][0] == "DomainError" and "not finite" in want[2][1]
     module = importlib.import_module("phidiv.estimate")
-    real, scored = module.chi2_objectives, []  # the samples of every scored problem
-    monkeypatch.setattr(module, "chi2_objectives", lambda model, problems: scored.extend(
-        s for s, _ in problems) or real(model, problems))
+    real, scored = module.chi2_closed_form, []  # the sample of every scored problem
+
+    def counted(model, sample, theta):
+        scored.append(sample)
+        return real(model, sample, theta)
+
+    monkeypatch.setattr(module, "chi2_closed_form", counted)
     assert [fit_bits(r) for r in estimate_many(KLM, MV, batch)] == want
     assert {id(s) for s in scored} == {id(tied), id(big)}
     scored.clear()
@@ -307,9 +311,14 @@ def test_estimate_many_cuts_equal_weights_at_the_budget(monkeypatch):
 
 @pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), "0", None])
 def test_options_reject_a_seed_that_is_not_a_nonnegative_integer(seed):
-    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
-        EstimateOptions(seed=seed)
+    # the counts n_starts (at least 1) and outer_max_iter are checked alike
+    for name, lo in (("seed", 0), ("n_starts", 1), ("outer_max_iter", 0)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= {lo}"):
+            EstimateOptions(**{name: seed})
+    with pytest.raises(ValueError, match="n_starts must be an integer >= 1, not 0"):
+        EstimateOptions(n_starts=0)
     assert EstimateOptions(seed=np.uint32(7)).seed == 7
+    assert EstimateOptions(n_starts=np.int64(1), outer_max_iter=0).n_starts == 1
 
 
 def test_overflowing_sample_fails_alone_in_its_batch():

@@ -232,6 +232,15 @@ def test_confidence_region_one_point_grid(rng):
     assert empty and pts.shape == (0, 1)
 
 
+@pytest.mark.parametrize("grid", [[], np.empty((0, 1))])
+def test_confidence_region_refuses_an_empty_grid_before_the_fit(rng, monkeypatch, grid):
+    # no point tested says nothing about the region: not "empty", an error
+    s = WeightedSample.from_points(rng.uniform(-1.0, 1.1, size=150))
+    monkeypatch.setattr(inference, "estimate", lambda *args, **kw: pytest.fail("fitted"))
+    with pytest.raises(ValueError, match="grid has no points"):
+        confidence_region(KLM, MV, s, 0.05, grid, options=FAST)
+
+
 def test_confidence_region_out_of_box_theta_is_parameter_error(rng):
     s = WeightedSample.from_points(rng.uniform(-1.0, 1.1, size=150))
     with pytest.raises(ParameterSpaceError) as want:
