@@ -16,12 +16,14 @@ form used both on its own and as a warm start for every other family.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, RankDeficiencyError
-from .families import CHI2, DivergenceFamily, _psi_arr
+from .families import CHI2, DivergenceFamily, _psi_arr, _psi_d1, _psi_d2
 
 OBJ_BOUND = 1e12        # objective beyond this: declare unbounded
 T_BOUND = 1e8           # dual vector beyond this: declare unbounded
@@ -57,9 +59,11 @@ class DualSolution:
     @property
     def sigma2(self):
         """Variance under the weights w of the criterion integrand t_0 - psi(u)."""
-        m_vals = self.t[0] - _psi_arr(self.fam.gamma, self.u)
+        m_vals = _psi_arr(self.fam.gamma, self.u, np.empty_like(self.u))
+        np.subtract(self.t[0], m_vals, out=m_vals)  # in place: one n-vector
         mbar = float(self.w @ m_vals)
-        return float(self.w @ (m_vals ** 2) - mbar ** 2)
+        m_vals **= 2
+        return float(self.w @ m_vals - mbar ** 2)
 
     @property
     def weights(self):
@@ -81,32 +85,76 @@ class DualSolution:
         }
 
 
-def _augmented(model, sample, theta):
-    """Design matrix A with rows (1, g(X_i, theta)); theta already checked."""
+class _Workspace:
+    """The n-sized arrays one run of lone inner solves reuses at every theta
+    and every Newton request, so that its solves make no fresh n x p array:
+    a fresh array of that size is paged in anew each time.
+
+    A is the design, which _augmented writes in place; S an n x p scratch,
+    shared by the sign matrix of _separated and the weighted designs of
+    _hess and of the quadratic Gram matrix; v an n-vector for A t in
+    _shrink_feasible and for psi, psi' and psi'' in turn.  What a solve
+    returns never points into them.  Sized at first use, and anew when n
+    or p changes."""
+
+    shape = None
+
+    def arrays(self, n, p):
+        if self.shape != (n, p):
+            self.A, self.S, self.v = np.empty((n, p)), np.empty((n, p)), np.empty(n)
+            self.shape = (n, p)
+        return self.A, self.S, self.v
+
+
+# The workspace that n-sized work in this context (thread or task) writes
+# into, or None where that work allocates.  The call that owns a workspace
+# sets it for its duration (solve_inner_many, estimate._lockstep), which
+# keeps it out of the signatures of every function in between.
+_WORKSPACE = ContextVar("phidiv.dual workspace", default=None)
+
+
+@contextmanager
+def _working(ws):
+    """Make ws the context's workspace for the duration of the block."""
+    token = _WORKSPACE.set(ws)
+    try:
+        yield ws
+    finally:
+        _WORKSPACE.reset(token)
+
+
+def _augmented(model, sample, theta, ws=None):
+    """Design matrix A with rows (1, g(X_i, theta)); theta already checked.
+    Written into ws.A when a workspace is given."""
     g = model.g_values(sample.points, theta)
-    A = np.ones((g.shape[0], g.shape[1] + 1))
+    shape = (g.shape[0], g.shape[1] + 1)
+    A = ws.arrays(*shape)[0] if ws else np.empty(shape)
+    A[:, 0] = 1.0
     A[:, 1:] = g
     return A
 
 
 # The private evaluators take u = A @ t, computed once per trial point by the
 # caller and shared by the feasibility test, value, derivatives and weights.
+# v and S, when given, are a workspace's arrays (the values do not change).
 
-def _objective(fam, w, u, t):
-    vals = _psi_arr(fam.gamma, u)
+def _objective(fam, w, u, t, v=None):
+    vals = _psi_arr(fam.gamma, u, v)
     if not np.isfinite(vals).all():
         return -np.inf
     return float(t[0] - w @ vals)
 
 
-def _grad(fam, A, w, u):
-    grad = -(A.T @ (w * fam.psi_d1(u)))
+def _grad(fam, A, w, u, v=None):
+    s1 = _psi_d1(fam.gamma, u, v)
+    grad = -(A.T @ np.multiply(w, s1, out=s1))
     grad[0] += 1.0
     return grad
 
 
-def _hess(fam, A, w, u):
-    return -((A * (w * fam.psi_d2(u))[:, None]).T @ A)
+def _hess(fam, A, w, u, S=None, v=None):
+    s2 = _psi_d2(fam.gamma, u, v)
+    return -(np.multiply(A, np.multiply(w, s2, out=s2)[:, None], out=S).T @ A)
 
 
 # The requests _newton yields, each answered with numbers that depend on A, w
@@ -213,37 +261,41 @@ def _newton(t, tol, stop):
     return t, u, f, status, it, gnorm, diag
 
 
-def _newton_ascent(fam, A, w, t0, tol, stop):
-    """_newton on one problem, each request answered as it comes."""
+def _newton_ascent(fam, A, w, t0, tol, stop, ws=None):
+    """_newton on one problem, each request answered as it comes; A is
+    ws.A when a workspace is given, and its S and v serve every request."""
+    S, v = (ws.S, ws.v) if ws else (None, None)
     gen = _newton(np.array(t0, dtype=float), tol, stop)
     request = next(gen)
     try:
         while True:
-            request = gen.send(_answer(fam, A, w, *request))
+            request = gen.send(_answer(fam, A, w, *request, S, v))
     except StopIteration as end:
         return end.value
 
 
-def _answer(fam, A, w, kind, x):
+def _answer(fam, A, w, kind, x, S=None, v=None):
     """The reply to one request of _newton.  A function of its own, so that
     no n-vector it makes stays bound while the next request is answered:
-    held in the driver's loop, they raised a solve's peak by one n-vector."""
+    held in the driver's loop, they raised a solve's peak by one n-vector.
+    With a workspace's S and v, the only n-sized arrays it makes are the
+    u = A t of EVAL and TRIAL, which _newton keeps."""
     if kind == _TRIAL:
         t, alpha, step = x
         cand = t + alpha * step
         ucand = A @ cand
         if fam.strictly_feasible(ucand, margin=MARGIN):
-            return cand, ucand, _objective(fam, w, ucand, cand)
+            return cand, ucand, _objective(fam, w, ucand, cand, v)
         return cand, ucand, None
     if kind == _GRAD:
-        grad = _grad(fam, A, w, x)
+        grad = _grad(fam, A, w, x, v)
         return grad, float(abs(grad).max())
     if kind == _SOLVE:
         u, grad = x
-        step, ridge = _solve_psd(-_hess(fam, A, w, u), grad)
+        step, ridge = _solve_psd(-_hess(fam, A, w, u, S, v), grad)
         return step, ridge, float(grad @ step), np.isfinite(step).all()
     u = A @ x
-    return u, _objective(fam, w, u, x)
+    return u, _objective(fam, w, u, x, v)
 
 
 def _matvec(A, t):
@@ -368,15 +420,26 @@ def _singular(evals):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as in solve_inner_many
-def chi2_closed_form(model, sample, theta, A=None):
-    """Exact dual solution for the quadratic family via one linear solve;
-    A, when given, is the design matrix at theta, already checked.  Raises
-    DomainError when the Gram matrix is not finite or eigh fails on it (the
-    moment functions overflow), RankDeficiencyError when it is singular."""
-    if A is None:
-        A = _augmented(model, sample, model.check_theta(theta))
+def chi2_closed_form(model, sample, theta):
+    """Exact dual solution for the quadratic family via one linear solve.
+    Raises DomainError when the Gram matrix is not finite or eigh fails on
+    it (the moment functions overflow), RankDeficiencyError when it is
+    singular."""
+    A = _augmented(model, sample, model.check_theta(theta))
     w = sample.weights
-    gram = (A * w[:, None]).T @ A  # the system gram t = rhs
+    t, gram, rhs = _chi2_system(A, w, theta)
+    u = A @ t
+    obj = float(t[0] - w @ _psi_arr(2.0, u))
+    grad = rhs - gram @ t
+    return DualSolution(t, u, obj, "converged", 1, float(abs(grad).max()),
+                        {"closed_form": True}, CHI2, w)
+
+
+def _chi2_system(A, w, theta, S=None):
+    """(t, gram, rhs): the quadratic family's dual vector t solving gram t =
+    rhs at the design A, with the errors of chi2_closed_form; S, when
+    given, holds the weighted design."""
+    gram = np.multiply(A, w[:, None], out=S).T @ A
     rhs = -(w @ A)
     rhs[0] += 1.0
     try:
@@ -392,26 +455,22 @@ def chi2_closed_form(model, sample, theta, A=None):
         raise RankDeficiencyError(
             f"singular Gram matrix: constraint combination {combo.tolist()} "
             "is degenerate on this sample")
-    t = np.linalg.solve(gram, rhs)
-    u = A @ t
-    obj = float(t[0] - w @ _psi_arr(2.0, u))
-    grad = rhs - gram @ t
-    return DualSolution(t, u, obj, "converged", 1, float(abs(grad).max()),
-                        {"closed_form": True}, CHI2, w)
+    return np.linalg.solve(gram, rhs), gram, rhs
 
 
-def _shrink_feasible(fam, A, t):
+def _shrink_feasible(fam, A, t, v=None):
     """Pull a candidate dual vector toward zero until strictly feasible, with
-    a wider margin (1e-8) than the line search's MARGIN."""
+    a wider margin (1e-8) than the line search's MARGIN; A t goes to v when
+    given."""
     t = np.array(t, dtype=float)
     for _ in range(80):
-        if fam.strictly_feasible(A @ t, margin=1e-8):
+        if fam.strictly_feasible(np.matmul(A, t, out=v), margin=1e-8):
             return t
         t *= 0.5
     return np.zeros_like(t)
 
 
-def _separated(A):
+def _separated(A, S=None):
     """True when some moment column j of A = (1, g) keeps one strict sign c
     over every point: 0 is then outside the convex hull of the g(X_i, theta),
     which admits no nonnegative measure.
@@ -419,32 +478,32 @@ def _separated(A):
     For every family but chi2, psi is finite and nondecreasing on (-inf, 0]
     with psi(0) = 0, so t_0 = s, t_j = -s c / min_i |g_ij| keeps every
     u_i <= 0 while f >= s: the dual is unbounded.  The sums of signs are
-    integers, exact in doubles.
+    integers, exact in doubles.  S, when given, holds the sign matrix.
     """
-    s = np.sign(A)
+    s = np.sign(A, out=S)
     sums = (s[:, 0] @ s).tolist()  # column 0 is all ones: sums[0] = n
     return any(abs(v) == sums[0] for v in sums[1:])
 
 
 def _prepare(fam, model, sample, theta, init):
     """Per-theta set-up of the inner solve: (A, t0, None), or (None, None,
-    sol) when the answer is known before Newton (a separated theta)."""
+    sol) when the answer is known before Newton (a separated theta).  A
+    and the scratch are the context's workspace's when it has one."""
     theta = model.check_theta(theta)
-    A = _augmented(model, sample, theta)
+    ws = _WORKSPACE.get()
+    A = _augmented(model, sample, theta, ws)
+    S, v = (ws.S, ws.v) if ws else (None, None)
     dim = A.shape[1]
-    if fam.gamma != 2.0 and _separated(A):
+    if fam.gamma != 2.0 and _separated(A, S):
         return None, None, DualSolution(
             np.zeros(dim), np.zeros(A.shape[0]), np.inf, "unbounded", 0, np.inf,
             {"ridge_used": False, "backtracks": 0}, fam, sample.weights)
-    if init is not None:
-        t0 = _shrink_feasible(fam, A, np.asarray(init, dtype=float))
-    else:
+    if init is None:
         try:
-            ws = chi2_closed_form(model, sample, theta, A).t
-            t0 = _shrink_feasible(fam, A, ws)
+            init = _chi2_system(A, sample.weights, theta, S)[0]
         except RankDeficiencyError:
-            t0 = np.zeros(dim)
-    return A, t0, None
+            return A, np.zeros(dim), None
+    return A, _shrink_feasible(fam, A, np.asarray(init, dtype=float), v), None
 
 
 # Byte budget of the design tensor of one stacked solve_inner_many call and
@@ -493,12 +552,18 @@ def solve_inner_many(fam, model, problems, tol=TOL, hold_errors=True, stop=math.
     The problems are set up one by one by _prepare and solved in the chunks
     of _chunks by _newton_ascent_stack, which gives each _newton_ascent's
     result bit for bit; a problem alone in its chunk goes to _newton_ascent,
-    which is faster for one problem.
+    which is faster for one problem.  Every such lone chunk is set up and
+    solved in one _Workspace, so that its solves make no fresh n x p array
+    and the same numbers come out: the workspace of the context (the one
+    a fit in progress owns for all its solves, see estimate._lockstep), or
+    else one this call owns for all its chunks.
     """
+    owned = _WORKSPACE.get() or _Workspace()
     for chunk in _chunks(model, problems):
+        ws = owned if len(chunk) == 1 else None
         # overflowing moment functions end in a typed error or status, not
-        # a numpy warning; the state is never held across the yield
-        with np.errstate(over="ignore", invalid="ignore"):
+        # a numpy warning; neither state is held across the yield
+        with np.errstate(over="ignore", invalid="ignore"), _working(ws):
             w = chunk[0][0].weights
             sols, todo, A, t0 = [], [], [], []
             for sample, theta, init in chunk:
@@ -516,7 +581,7 @@ def solve_inner_many(fam, model, problems, tol=TOL, hold_errors=True, stop=math.
             del a
             if len(todo) == 1:
                 sols[todo[0]] = DualSolution(
-                    *_newton_ascent(fam, A[0], w, t0[0], tol, stop), fam, w)
+                    *_newton_ascent(fam, A[0], w, t0[0], tol, stop, ws), fam, w)
             elif todo:
                 A, t0 = np.stack(A), np.stack(t0)
                 for i, res in zip(todo, _newton_ascent_stack(fam, A, w, t0, tol, stop)):

@@ -15,14 +15,16 @@ parameter that remains valid under misspecification.
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .dual import (TOL, DualSolution, _augmented, _chunks, _dot_rows, chi2_closed_form,
-                   solve_inner, solve_inner_many)
+from .dual import (TOL, DualSolution, _augmented, _chunks, _dot_rows, _working,
+                   _Workspace, chi2_closed_form, solve_inner, solve_inner_many)
 from .errors import EstimationError, PhidivError, RankDeficiencyError
 from .families import CHI2
 
@@ -45,6 +47,11 @@ class EstimateOptions:
             if not _int_at_least(getattr(self, name), lo):
                 raise ValueError(f"{name} must be an integer >= {lo}, "
                                  f"not {getattr(self, name)!r}")
+        for name in ("outer_tol", "inner_tol"):
+            value = getattr(self, name)
+            # nan ended in "all starts failed" and -1 in a search run to its cap
+            if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+                raise ValueError(f"{name} must be a finite number > 0, not {value!r}")
 
 
 def _int_at_least(value, lo):
@@ -215,6 +222,7 @@ def _outer_minimize(fam, model, sample, theta0, options):
             if cval <= val + 1e-4 * float(grad @ s):
                 accepted = True
                 break
+            csol = None  # a rejected solve's u must not live through the next
             alpha *= 0.5
         if not accepted:
             break
@@ -302,6 +310,7 @@ def _fit(fam, model, sample, options, lead, extra):
     outcome, _ = yield from _outer_minimize(CHI2, model, sample, lead, options)
     if outcome is not None:
         lead = outcome[0]
+    del outcome  # each kept solution holds an n-vector: keep only the best
     starts = []
     if options.theta0 is not None:
         starts.append(np.atleast_1d(np.asarray(options.theta0, dtype=float)))
@@ -315,6 +324,7 @@ def _fit(fam, model, sample, options, lead, extra):
         per_start.append(diag)
         if outcome is not None and (best is None or outcome[1] < best[1]):
             best = outcome
+        del outcome
     if best is None:
         raise EstimationError("all starts failed", per_start)
     theta, val, sol, iters = best
@@ -384,15 +394,18 @@ def _lockstep(fam, model, samples, options):
             continue
         fits[i] = _fit(fam, model, sample, options, pool[lead], extra)
         advance(i)
-    while True:  # one round: the first family with waiting fits, CHI2 first
-        for f, queue in waiting.items():
-            if queue:
-                break
-        else:
-            return out
-        batch = queue.copy()
-        queue.clear()
-        sols = solve_inner_many(f, model, [(samples[i], theta, init)
-                                           for i, theta, init in batch], options.inner_tol)
-        for (i, _, _), sol in zip(batch, sols):
-            advance(i, sol)
+    with _working(_Workspace()):  # one workspace for every round's lone solves
+        while True:  # one round: the first family with waiting fits, CHI2 first
+            for f, queue in waiting.items():
+                if queue:
+                    break
+            else:
+                return out
+            batch = queue.copy()
+            queue.clear()
+            sols = solve_inner_many(f, model, [(samples[i], theta, init)
+                                               for i, theta, init in batch],
+                                    options.inner_tol)
+            for (i, _, _), sol in zip(batch, sols):
+                advance(i, sol)
+            del sol  # else the last solution's u stays alive through the next round

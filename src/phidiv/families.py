@@ -56,13 +56,10 @@ class DivergenceFamily:
     # Array-friendly derivative evaluators.  Callers (the dual solver) are
     # responsible for feasibility; out-of-domain entries come back inf/nan.
     def psi_d1(self, t):
-        t = np.asarray(t, dtype=float)
-        return 1.0 + t if self.gamma == 2.0 else _psi_power_d(self.gamma, t, 1.0)
+        return _psi_d1(self.gamma, np.asarray(t, dtype=float))
 
     def psi_d2(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.ones_like(t) if self.gamma == 2.0 else \
-            _psi_power_d(self.gamma, t, 2.0 - self.gamma)
+        return _psi_d2(self.gamma, np.asarray(t, dtype=float))
 
     def interior(self, margin=1e-10):
         """Bounds (lo, hi) of dom psi shrunk by an absolute margin at a
@@ -85,17 +82,43 @@ def _as_like(x, arr):
     return np.asarray(arr)
 
 
-def _psi_power_d(g, t, num):
+# The private evaluators below take an optional out, an array shaped like t
+# that receives the values (the dual solver's workspace).  With or without
+# it they apply the same numpy operations in the same order, so the values
+# are the same bit for bit.
+
+def _psi_d1(g, t, out=None):
+    """psi' of the family g at the array t."""
+    return np.add(1.0, t, out=out) if g == 2.0 else _psi_power_d(g, t, 1.0, out)
+
+
+def _psi_d2(g, t, out=None):
+    """psi'' of the family g at the array t."""
+    if g != 2.0:
+        return _psi_power_d(g, t, 2.0 - g, out)
+    if out is None:
+        return np.ones_like(t)
+    out.fill(1.0)
+    return out
+
+
+def _psi_power_d(g, t, num, out=None):
     """psi' (num = 1) or psi'' (num = 2 - g) of the family g != 2: exp(t)
     for g = 1, else ((g - 1) t + 1) ** (num / (g - 1)), flat (0) below
     a_star for g > 1."""
     if g == 1.0:
         with np.errstate(over="ignore"):
-            return np.exp(t)
-    base = (g - 1.0) * t + 1.0
+            return np.exp(t, out=out)
+    if g > 1.0 and out is None:
+        out = np.empty_like(t)  # an array, also for a 0-d t: d[~pos] writes it
+    d = np.multiply(g - 1.0, t, out=out)
+    d += 1.0
+    pos = d > 0.0 if g > 1.0 else None
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d = base ** (num / (g - 1.0))
-    return np.where(base > 0.0, d, 0.0) if g > 1.0 else d
+        d **= num / (g - 1.0)  # in place, ** takes the same path as base ** e
+    if pos is not None:
+        d[~pos] = 0.0
+    return d
 
 
 def _phi_arr(g, x):
@@ -118,27 +141,44 @@ def _phi_arr(g, x):
     return out
 
 
-def _psi_arr(g, t):
+def _psi_arr(g, t, out=None):
+    """psi of the family g at every entry of t, into out when given.  The
+    formula runs in place over the whole array; only the entries outside
+    the open domain, if any, are then set to +inf or the closure value."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if g == 2.0:
-        return 0.5 * t * t + t
+        out = np.multiply(0.5, t, out=out)
+        out *= t
+        out += t
+        return out
     if g == 1.0:
         with np.errstate(over="ignore"):
-            return np.expm1(t)
-    out = np.full(t.shape, INF)
-    if g == 0.0:
-        ok = t < 1.0
-        out[ok] = -np.log1p(-t[ok])
+            return np.expm1(t, out=out)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if g == 0.0:
+            inside = t < 1.0
+            out = np.negative(t, out=out)
+            np.log1p(out, out=out)
+            np.negative(out, out=out)
+        else:
+            out = np.multiply(g - 1.0, t, out=out)  # the base (g - 1) t + 1
+            out += 1.0
+            inside = out > 0.0
+            out **= g / (g - 1.0)
+            out -= 1.0
+            out /= g
+    if inside.all():
         return out
-    base = (g - 1.0) * t + 1.0
-    q = g / (g - 1.0)
-    pos = base > 0.0
-    with np.errstate(over="ignore"):
-        out[pos] = (base[pos] ** q - 1.0) / g
+    outside = ~inside
+    if g == 0.0:
+        out[outside] = INF
+        return out
+    base = (g - 1.0) * t[outside] + 1.0
     if g > 1.0:  # at and below a_star the sup over x >= 0 is at x = 0
-        out[base <= 0.0] = -1.0 / g
-    elif q > 0.0:  # gamma < 0: closure value is finite at the edge b_star
-        out[base == 0.0] = -1.0 / g
+        edge = base <= 0.0
+    else:  # gamma < 0: closure value is finite at the edge b_star
+        edge = (base == 0.0) & (g < 0.0)
+    out[outside] = np.where(edge, -1.0 / g, INF)
     return out
 
 

@@ -122,13 +122,18 @@ def builtin_model(name, m=1, theta_lo=None, theta_hi=None):
 
         return MomentModel("mean", m, m, m, g, g_jac, theta_lo, theta_hi, -np.eye(m))
     if name == "mean-variance":
+        # each allocates its result only: at n = 10^5 a temporary per theta
+        # raised a fit's peak memory beside the solver's workspace
         def g(x, theta):
-            x0 = x[:, 0]
-            return np.column_stack([x0, x0 * x0 - theta[0]])
+            out = np.empty((x.shape[0], 2))
+            out[:, 0] = x[:, 0]
+            np.multiply(x[:, 0], x[:, 0], out=out[:, 1])
+            out[:, 1] -= theta[0]
+            return out
 
         def g_jac(x, theta):
-            n = x.shape[0]
-            jac = np.zeros((n, 2, 1))
+            jac = np.empty((x.shape[0], 2, 1))
+            jac[:, 0, 0] = 0.0
             jac[:, 1, 0] = -1.0
             return jac
 

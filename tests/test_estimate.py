@@ -321,6 +321,14 @@ def test_options_reject_a_seed_that_is_not_a_nonnegative_integer(seed):
     assert EstimateOptions(n_starts=np.int64(1), outer_max_iter=0).n_starts == 1
 
 
+@pytest.mark.parametrize("name", ["outer_tol", "inner_tol"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0, -1.0, "1e-8", None])
+def test_options_reject_a_tolerance_that_is_not_finite_and_positive(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a finite number > 0"):
+        EstimateOptions(**{name: value})
+    assert getattr(EstimateOptions(**{name: np.float32(1e-6)}), name) == np.float32(1e-6)
+
+
 def test_overflowing_sample_fails_alone_in_its_batch():
     # x^2 overflows on the middle sample: its start pool has no finite Gram
     # matrix, so it gets a DomainError and the good fits around it stand

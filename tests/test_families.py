@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from phidiv import (CHI2, CHI2M, HELLINGER, KL, KLM, DomainError, family,
                     power_family)
 
+from phidiv.families import _psi_arr
+
 from conftest import numeric_conjugate, phi_derivs, psi_derivs
 
 ALL = [KLM, KL, CHI2, CHI2M, HELLINGER]
@@ -169,6 +171,30 @@ def test_generic_power_index():
     for t in np.linspace(-0.45, 3.0, 20):
         assert fam.psi(t) == pytest.approx(numeric_conjugate(fam, t, 1e-9, 60.0),
                                            abs=1e-6)
+
+
+@pytest.mark.parametrize("gamma", [1.5, 3.0, 4.0])
+def test_derivatives_of_a_power_index_above_one_take_a_scalar(gamma):
+    # a 0-d input, inside and below a_star, gives the values of the array call
+    fam = power_family(gamma)
+    ts = np.array([fam.a_star - 1.0, fam.a_star, 0.5, 2.0])
+    for deriv in (fam.psi_d1, fam.psi_d2):
+        assert [float(deriv(t)) for t in ts] == deriv(ts).tolist()
+        assert float(deriv(0.5)) == float(deriv(np.array(0.5)))
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0, -1.0, 0.5, 3.0, 1.5, -0.5])
+def test_conjugate_of_a_mixed_array_is_entrywise_bit_for_bit(gamma):
+    # entries inside dom psi, at its edges, beyond them and nan: each value
+    # of the array call, with or without out, is that entry's value alone
+    fam = power_family(gamma)
+    edges = [e for e in (fam.a_star, fam.b_star) if math.isfinite(e)]
+    ts = np.array([-3.0, -0.4, 0.0, 0.3, 0.49, 0.999, 1.0, 2.5, 40.0, np.nan]
+                  + edges + [e - 1e-3 for e in edges] + [e + 1e-3 for e in edges])
+    alone = [fam.psi(t) for t in ts]
+    got = _psi_arr(gamma, ts)
+    into = _psi_arr(gamma, ts, np.empty_like(ts))
+    assert got.tobytes() == into.tobytes() == np.array(alone).tobytes()
 
 
 @pytest.mark.parametrize("gamma", [1.5, 3.0, 4.0])

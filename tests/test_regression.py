@@ -6,13 +6,19 @@ a later solve into a different Newton path.  The reference file holds, as
 float.hex strings, the outputs of a fixed Figure-1 plan (seed 7, 8 cells
 spanning n = 50..500 and epsilon = 0.1..1.0, 6 replicates each) and of one
 fit, simple test and confidence scan per divergence family, together with
-the iteration counts.
+the iteration counts.  The "large" record holds one fit and one model test
+per family on n = 20 000 points, far above the stacked solver's size cap,
+so that the lone-solve path is pinned as well.  At that size OpenBLAS splits
+a dot product across its threads, and the split moves the last bits, so
+that record is computed, and recorded, with one BLAS thread.
 
 Re-record (python tests/test_regression.py) only in a change that means to
 alter the library's outputs, and say so in its description.
 """
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -116,6 +122,31 @@ def fit_values():
     return out
 
 
+LARGE_N = 20_000
+
+
+def large_values():
+    """Default-option fit and model test per family on LARGE_N points: every
+    inner solve goes through the lone-problem path."""
+    x = np.random.default_rng(19).uniform(-1.0, 1.3, size=LARGE_N)
+    sample = WeightedSample.from_points(x)
+    out = {}
+    for fam in (KLM, KL, CHI2, HELLINGER):
+        est = estimate(fam, MV, sample)
+        report, _ = model_test(fam, MV, sample)
+        out[fam.name] = {
+            "theta_hat": _hex(est.theta_hat),
+            "t_hat": _hex(est.t_hat),
+            "divergence_hat": _hex(est.divergence_hat),
+            "sigma2_hat": _hex(est.sigma2_hat),
+            "inner_iterations": est.inner.iterations,
+            "inner_backtracks": est.inner.diagnostics["backtracks"],
+            "outer_iterations": est.diagnostics["outer_iterations"],
+            "statistic": _hex(report.statistic),
+        }
+    return out
+
+
 def _reference():
     return json.loads(REFERENCE.read_text(encoding="utf-8"))
 
@@ -140,6 +171,21 @@ def test_family_fits_bit_identical():
     assert fit_values() == _reference()["fits"]
 
 
+def _one_blas_thread_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src,
+            **{var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                    "MKL_NUM_THREADS")}}
+
+
+def test_large_sample_fits_bit_identical():
+    # a process of its own: the BLAS thread count is fixed when numpy loads
+    out = subprocess.run([sys.executable, __file__, "--large"], env=_one_blas_thread_env(),
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == _reference()["large"]
+
+
 def test_lazy_variance_blocks_equal_direct_call():
     sample = generate(PLAN, 3, 0)
     est = estimate(KLM, MV, sample, options=MC_OPTIONS)
@@ -149,7 +195,10 @@ def test_lazy_variance_blocks_equal_direct_call():
         assert lazy.tobytes() == direct.tobytes()
 
 
-if __name__ == "__main__":
-    payload = {"figure1": figure1_values(), "fits": fit_values()}
+if __name__ == "__main__" and sys.argv[1:] == ["--large"]:
+    print(json.dumps(large_values()))
+elif __name__ == "__main__":  # run with OPENBLAS_NUM_THREADS=1, for the large record
+    payload = {"figure1": figure1_values(), "fits": fit_values(),
+               "large": large_values()}
     REFERENCE.write_text(json.dumps(payload, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {REFERENCE}", file=sys.stderr)
