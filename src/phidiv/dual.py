@@ -16,8 +16,7 @@ form used both on its own and as a warm start for every other family.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,23 +103,6 @@ class _Workspace:
             self.A, self.S, self.v = np.empty((n, p)), np.empty((n, p)), np.empty(n)
             self.shape = (n, p)
         return self.A, self.S, self.v
-
-
-# The workspace that n-sized work in this context (thread or task) writes
-# into, or None where that work allocates.  The call that owns a workspace
-# sets it for its duration (solve_inner_many, estimate._lockstep), which
-# keeps it out of the signatures of every function in between.
-_WORKSPACE = ContextVar("phidiv.dual workspace", default=None)
-
-
-@contextmanager
-def _working(ws):
-    """Make ws the context's workspace for the duration of the block."""
-    token = _WORKSPACE.set(ws)
-    try:
-        yield ws
-    finally:
-        _WORKSPACE.reset(token)
 
 
 def _augmented(model, sample, theta, ws=None):
@@ -261,10 +243,11 @@ def _newton(t, tol, stop):
     return t, u, f, status, it, gnorm, diag
 
 
-def _newton_ascent(fam, A, w, t0, tol, stop, ws=None):
-    """_newton on one problem, each request answered as it comes; A is
-    ws.A when a workspace is given, and its S and v serve every request."""
-    S, v = (ws.S, ws.v) if ws else (None, None)
+def _newton_ascent(fam, A, w, t0, tol, stop, ws):
+    """_newton on one problem, each request answered as it comes; the
+    workspace ws gives the S and v that serve every request (A is ws.A
+    unless it was set up in a stacked chunk)."""
+    _, S, v = ws.arrays(*A.shape)
     gen = _newton(np.array(t0, dtype=float), tol, stop)
     request = next(gen)
     try:
@@ -274,11 +257,11 @@ def _newton_ascent(fam, A, w, t0, tol, stop, ws=None):
         return end.value
 
 
-def _answer(fam, A, w, kind, x, S=None, v=None):
+def _answer(fam, A, w, kind, x, S, v):
     """The reply to one request of _newton.  A function of its own, so that
     no n-vector it makes stays bound while the next request is answered:
     held in the driver's loop, they raised a solve's peak by one n-vector.
-    With a workspace's S and v, the only n-sized arrays it makes are the
+    With the workspace's S and v, the only n-sized arrays it makes are the
     u = A t of EVAL and TRIAL, which _newton keeps."""
     if kind == _TRIAL:
         t, alpha, step = x
@@ -485,12 +468,12 @@ def _separated(A, S=None):
     return any(abs(v) == sums[0] for v in sums[1:])
 
 
-def _prepare(fam, model, sample, theta, init):
+def _prepare(fam, model, sample, theta, init, ws):
     """Per-theta set-up of the inner solve: (A, t0, None), or (None, None,
     sol) when the answer is known before Newton (a separated theta).  A
-    and the scratch are the context's workspace's when it has one."""
+    and the scratch are the workspace ws's, or fresh when ws is None (a
+    stacked chunk's problems)."""
     theta = model.check_theta(theta)
-    ws = _WORKSPACE.get()
     A = _augmented(model, sample, theta, ws)
     S, v = (ws.S, ws.v) if ws else (None, None)
     dim = A.shape[1]
@@ -533,12 +516,20 @@ def _chunks(model, items):
         yield chunk
 
 
+def _check_tol(name, value):
+    """Refuse, with ValueError, a tolerance that is not a finite real > 0:
+    nan, 0 or below never ends a search before its iteration cap."""
+    if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
+        raise ValueError(f"{name} must be a finite number > 0, not {value!r}")
+
+
 def solve_inner_many(fam, model, problems, tol=TOL, hold_errors=True, stop=math.inf):
     """Maximize the dual criterion at every (sample, theta, init) of
     problems, yielding the DualSolutions in order.  A problem's set-up
     error is yielded in its place, so that it stops no other; without
     hold_errors it is raised at once, before the rest of its chunk is
-    solved.
+    solved.  A tol that is not a finite number > 0, or a nan stop, is
+    refused with ValueError at the call.
 
     Damped Newton from init, or by default from the quadratic closed form,
     shrunk into the feasible region, falling back to t = 0 (always
@@ -548,27 +539,35 @@ def solve_inner_many(fam, model, problems, tol=TOL, hold_errors=True, stop=math.
     MARGIN inside dom psi.  For every family but chi2, a moment column of
     one strict sign (see _separated) returns "unbounded" at once: t = 0,
     objective +inf, no Newton iteration.  Empirical likelihood is KLm.
+    """
+    _check_tol("tol", tol)
+    if math.isnan(stop):  # f > nan is never true: the stop would never act
+        raise ValueError("stop must not be nan")
+    return _solve_many(fam, model, problems, tol, hold_errors, stop, _Workspace())
+
+
+def _solve_many(fam, model, problems, tol, hold_errors, stop, ws):
+    """solve_inner_many, its arguments unchecked, in the workspace ws of
+    its owner: one solve_inner_many call, or estimate._lockstep for all the
+    rounds of its fits.
 
     The problems are set up one by one by _prepare and solved in the chunks
     of _chunks by _newton_ascent_stack, which gives each _newton_ascent's
-    result bit for bit; a problem alone in its chunk goes to _newton_ascent,
-    which is faster for one problem.  Every such lone chunk is set up and
-    solved in one _Workspace, so that its solves make no fresh n x p array
-    and the same numbers come out: the workspace of the context (the one
-    a fit in progress owns for all its solves, see estimate._lockstep), or
-    else one this call owns for all its chunks.
+    result bit for bit; a problem alone in its chunk, or left alone by the
+    separated thetas of its chunk, goes to _newton_ascent, which is faster
+    for one problem.  Every lone problem is solved, and every lone chunk
+    set up, in ws, so that its solves make no fresh n x p array.
     """
-    owned = _WORKSPACE.get() or _Workspace()
     for chunk in _chunks(model, problems):
-        ws = owned if len(chunk) == 1 else None
+        lone = ws if len(chunk) == 1 else None
         # overflowing moment functions end in a typed error or status, not
-        # a numpy warning; neither state is held across the yield
-        with np.errstate(over="ignore", invalid="ignore"), _working(ws):
+        # a numpy warning; the state is not held across the yield
+        with np.errstate(over="ignore", invalid="ignore"):
             w = chunk[0][0].weights
             sols, todo, A, t0 = [], [], [], []
             for sample, theta, init in chunk:
                 try:
-                    a, t, sol = _prepare(fam, model, sample, theta, init)
+                    a, t, sol = _prepare(fam, model, sample, theta, init, lone)
                 except Exception as exc:  # handed to the caller in place of the solution
                     if not hold_errors:
                         raise

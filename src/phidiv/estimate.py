@@ -16,15 +16,14 @@ parameter that remains valid under misspecification.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .dual import (TOL, DualSolution, _augmented, _chunks, _dot_rows, _working,
-                   _Workspace, chi2_closed_form, solve_inner, solve_inner_many)
+from .dual import (TOL, DualSolution, _augmented, _check_tol, _chunks, _dot_rows,
+                   _solve_many, _Workspace, chi2_closed_form, solve_inner)
 from .errors import EstimationError, PhidivError, RankDeficiencyError
 from .families import CHI2
 
@@ -48,10 +47,8 @@ class EstimateOptions:
                 raise ValueError(f"{name} must be an integer >= {lo}, "
                                  f"not {getattr(self, name)!r}")
         for name in ("outer_tol", "inner_tol"):
-            value = getattr(self, name)
             # nan ended in "all starts failed" and -1 in a search run to its cap
-            if not (isinstance(value, numbers.Real) and 0.0 < value < math.inf):
-                raise ValueError(f"{name} must be a finite number > 0, not {value!r}")
+            _check_tol(name, getattr(self, name))
 
 
 def _int_at_least(value, lo):
@@ -363,10 +360,10 @@ def _lockstep(fam, model, samples, options):
     _start_design pool's point that _lead picks; a PhidivError raised there
     is the sample's result.  Then one _fit generator per sample asks for
     its inner solves, and each round answers every pending request of one
-    family with one solve_inner_many call at options.inner_tol.  The
-    quadratic search, which every _fit runs first, is answered while any
-    fit waits on it, which keeps the fits in step.  An error in answering
-    one fit is thrown into its generator.
+    family with one dual._solve_many call at options.inner_tol, in one
+    workspace for all the rounds.  The quadratic search, which every _fit
+    runs first, is answered while any fit waits on it, which keeps the fits
+    in step.  An error in answering one fit is thrown into its generator.
     """
     out = [None] * len(samples)
     pool, extra = _start_design(model, options)
@@ -394,18 +391,17 @@ def _lockstep(fam, model, samples, options):
             continue
         fits[i] = _fit(fam, model, sample, options, pool[lead], extra)
         advance(i)
-    with _working(_Workspace()):  # one workspace for every round's lone solves
-        while True:  # one round: the first family with waiting fits, CHI2 first
-            for f, queue in waiting.items():
-                if queue:
-                    break
-            else:
-                return out
-            batch = queue.copy()
-            queue.clear()
-            sols = solve_inner_many(f, model, [(samples[i], theta, init)
-                                               for i, theta, init in batch],
-                                    options.inner_tol)
-            for (i, _, _), sol in zip(batch, sols):
-                advance(i, sol)
-            del sol  # else the last solution's u stays alive through the next round
+    ws = _Workspace()  # one workspace for every round's lone solves
+    while True:  # one round: the first family with waiting fits, CHI2 first
+        for f, queue in waiting.items():
+            if queue:
+                break
+        else:
+            return out
+        batch = queue.copy()
+        queue.clear()
+        sols = _solve_many(f, model, [(samples[i], theta, init) for i, theta, init in batch],
+                           options.inner_tol, True, math.inf, ws)
+        for (i, _, _), sol in zip(batch, sols):
+            advance(i, sol)
+        del sol  # else the last solution's u stays alive through the next round

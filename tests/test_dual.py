@@ -404,6 +404,24 @@ def test_grid_raises_a_set_up_error_before_solving_its_chunk(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("bad", [{"tol": v} for v in (np.nan, np.inf, -np.inf, 0.0, -1.0,
+                                                       "1e-8", None)] + [{"stop": np.nan}])
+def test_solve_inner_many_rejects_a_bad_tolerance_or_stop_at_the_call(bad):
+    # before the problems are read: a bad tolerance ran every solve to
+    # MAX_ITER, and a nan stop never stopped one
+    def problems():
+        raise AssertionError("the problems were read")
+        yield
+
+    match = "tol must be a finite number > 0" if "tol" in bad else "stop must not be nan"
+    with pytest.raises(ValueError, match=match):
+        solve_inner_many(KLM, MV, problems(), **bad)
+    sample = WeightedSample.from_points(np.linspace(-1.0, 1.2, 50))
+    kept = {"tol": np.float32(1e-6)} if "tol" in bad else {"stop": -np.inf}
+    assert next(solve_inner_many(KLM, MV, [(sample, [0.1], None)], **kept)).status == \
+        ("converged" if "tol" in bad else "above-stop")
+
+
 @pytest.mark.parametrize("spec", ["KLm", "KL", "hellinger", "chi2", "power:1.5"])
 @pytest.mark.parametrize("n", [50, 200])
 def test_stop_bound_ends_only_solves_whose_maximum_lies_above_it(spec, n):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from phidiv import (CHI2, KL, KLM, DomainError, EstimateOptions, EstimationError,
                     MomentModel, PhidivError, WeightedSample, builtin_model, dual,
                     estimate, family, get_model, profile_gradient, profile_objective)
-from phidiv.dual import solve_inner_many
 from phidiv.estimate import _lockstep, estimate_many, variance_blocks
 from phidiv.inference import test_models as model_tests
 from phidiv.simulate import MC_OPTIONS
@@ -358,12 +357,12 @@ def test_lockstep_answers_the_quadratic_search_first(fam, monkeypatch):
     def rounds(batch):
         calls = []
 
-        def recorded(f, model, problems, tol):
+        def recorded(f, *args):
             calls.append(f)
-            return solve_inner_many(f, model, problems, tol)
+            return dual._solve_many(f, *args)
 
         monkeypatch.setattr(importlib.import_module("phidiv.estimate"),
-                            "solve_inner_many", recorded)
+                            "_solve_many", recorded)
         _lockstep(fam, MV, batch, FAST)
         return calls
 
@@ -388,10 +387,10 @@ def test_lockstep_setup_error_stays_with_its_sample(monkeypatch):
     prepare = dual._prepare
 
     def failing(error):
-        def patched(fam, model, sample, theta, init):
+        def patched(fam, model, sample, *args):
             if fam is KLM and sample is batch[1]:
                 raise error
-            return prepare(fam, model, sample, theta, init)
+            return prepare(fam, model, sample, *args)
         return patched
 
     monkeypatch.setattr(dual, "_prepare", failing(DomainError("injected set-up error")))

@@ -3,9 +3,9 @@
 A run of lone solves, one fit's or one solve_inner_many call's, writes its
 n-sized intermediates into one set of arrays that it reuses at every theta.
 These tests pin what that reuse must not change: every solution keeps
-arrays of its own, fits in concurrent threads are those of fits run one
-after another, and after the first solve of a large fit no array the size
-of the design is allocated again.
+arrays of its own, fits and solve_inner_many calls in concurrent threads
+are those run one after another, and after the first solve of a large fit
+no array the size of the design is allocated again.
 """
 
 import importlib
@@ -15,7 +15,8 @@ import tracemalloc
 
 import numpy as np
 
-from phidiv import HELLINGER, KL, KLM, WeightedSample, estimate, get_model
+from phidiv import HELLINGER, KL, KLM, WeightedSample, estimate, get_model, solve_inner
+from phidiv.dual import solve_inner_many
 
 MV = get_model("mean-variance")
 ESTIMATE = importlib.import_module("phidiv.estimate")
@@ -33,14 +34,14 @@ def bits(fit):
 
 def recording_solves(monkeypatch, on_solution):
     """Route the fit driver's inner solves through on_solution."""
-    real = ESTIMATE.solve_inner_many
+    real = ESTIMATE._solve_many
 
     def recorded(*args):
         for sol in real(*args):
             on_solution(sol)
             yield sol
 
-    monkeypatch.setattr(ESTIMATE, "solve_inner_many", recorded)
+    monkeypatch.setattr(ESTIMATE, "_solve_many", recorded)
 
 
 def test_solutions_of_one_fit_keep_arrays_of_their_own(monkeypatch):
@@ -85,6 +86,43 @@ def test_fits_in_concurrent_threads_equal_fits_one_after_another():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert together == alone
+
+
+def test_solve_calls_in_concurrent_threads_equal_calls_one_after_another():
+    # at n = 20 000 each problem is alone in its chunk, so every solve of a
+    # call runs in the workspace that call owns, warm started as a scan is
+    thetas = np.linspace(0.0, 0.25, 6)
+    jobs = []
+    for k, fam in enumerate((KLM, HELLINGER, KLM, KL)):
+        sample = large_sample(45 + k)
+        init = solve_inner(fam, MV, sample, [0.1]).t
+        jobs.append((fam, [(sample, [theta], init) for theta in thetas]))
+
+    def solved(fam, problems):
+        return [(sol.t.tobytes(), sol.u.tobytes(), float(sol.objective).hex(), sol.status,
+                 sol.iterations, repr(sol.diagnostics))
+                for sol in solve_inner_many(fam, MV, problems)]
+
+    alone = [solved(*job) for job in jobs]
+    together = [None] * len(jobs)
+    start = threading.Barrier(len(jobs))
+
+    def run(k):
+        start.wait()
+        together[k] = solved(*jobs[k])
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(len(jobs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert together == alone and all(len(sols) == len(thetas) for sols in alone)
 
 
 def test_no_design_sized_block_after_the_first_solve(monkeypatch):
