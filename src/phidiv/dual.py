@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DomainError, RankDeficiencyError
 from .families import CHI2, DivergenceFamily, _psi_arr, _psi_d1, _psi_d2
+from .models import MomentModel, WeightedSample
 
 OBJ_BOUND = 1e12        # objective beyond this: declare unbounded
 T_BOUND = 1e8           # dual vector beyond this: declare unbounded
@@ -43,8 +44,10 @@ class DualSolution:
     iterations: int
     grad_norm: float
     diagnostics: dict
-    fam: DivergenceFamily = field(repr=False)
-    w: np.ndarray = field(repr=False)  # the sample weights
+    fam: DivergenceFamily = field(repr=False)   # the problem solved: its weights
+    model: MomentModel = field(repr=False)      # w are sample.weights, its theta
+    sample: WeightedSample = field(repr=False)  # what model.check_theta returns
+    theta: np.ndarray
 
     @property
     def converged(self):
@@ -60,9 +63,9 @@ class DualSolution:
         """Variance under the weights w of the criterion integrand t_0 - psi(u)."""
         m_vals = _psi_arr(self.fam.gamma, self.u, np.empty_like(self.u))
         np.subtract(self.t[0], m_vals, out=m_vals)  # in place: one n-vector
-        mbar = float(self.w @ m_vals)
+        mbar = float(self.sample.weights @ m_vals)
         m_vals **= 2
-        return float(self.w @ m_vals - mbar ** 2)
+        return float(self.sample.weights @ m_vals - mbar ** 2)
 
     @property
     def weights(self):
@@ -70,8 +73,13 @@ class DualSolution:
         reached an optimum; computed from u on each access, so a kept
         solution holds one n-vector."""
         if self.status in ("converged", "converged-boundary"):
-            return self.w * self.fam.psi_d1(self.u)
+            return self.sample.weights * self.fam.psi_d1(self.u)
         return None
+
+    def envelope_grad(self):
+        """Theta-gradient of the profile, t held fixed: -sum_i Q_i J(X_i, theta)' t[1:]."""
+        jac = self.model.jac_values(self.sample.points, self.theta)
+        return -(self.weights @ np.einsum("ild,l->id", jac, self.t[1:]))
 
     def to_dict(self):
         return {
@@ -408,14 +416,15 @@ def chi2_closed_form(model, sample, theta):
     Raises DomainError when the Gram matrix is not finite or eigh fails on
     it (the moment functions overflow), RankDeficiencyError when it is
     singular."""
-    A = _augmented(model, sample, model.check_theta(theta))
+    checked = model.check_theta(theta)
+    A = _augmented(model, sample, checked)
     w = sample.weights
     t, gram, rhs = _chi2_system(A, w, theta)
     u = A @ t
     obj = float(t[0] - w @ _psi_arr(2.0, u))
     grad = rhs - gram @ t
     return DualSolution(t, u, obj, "converged", 1, float(abs(grad).max()),
-                        {"closed_form": True}, CHI2, w)
+                        {"closed_form": True}, CHI2, model, sample, checked)
 
 
 def _chi2_system(A, w, theta, S=None):
@@ -469,24 +478,24 @@ def _separated(A, S=None):
 
 
 def _prepare(fam, model, sample, theta, init, ws):
-    """Per-theta set-up of the inner solve: (A, t0, None), or (None, None,
-    sol) when the answer is known before Newton (a separated theta).  A
-    and the scratch are the workspace ws's, or fresh when ws is None (a
-    stacked chunk's problems)."""
+    """Per-theta set-up of the inner solve: (theta, A, t0, None), theta as
+    check_theta gives it, or (theta, None, None, sol) when the answer is known
+    before Newton (a separated theta).  A and the scratch are the workspace
+    ws's, or fresh when ws is None (a stacked chunk's problems)."""
     theta = model.check_theta(theta)
     A = _augmented(model, sample, theta, ws)
     S, v = (ws.S, ws.v) if ws else (None, None)
     dim = A.shape[1]
     if fam.gamma != 2.0 and _separated(A, S):
-        return None, None, DualSolution(
+        return theta, None, None, DualSolution(
             np.zeros(dim), np.zeros(A.shape[0]), np.inf, "unbounded", 0, np.inf,
-            {"ridge_used": False, "backtracks": 0}, fam, sample.weights)
+            {"ridge_used": False, "backtracks": 0}, fam, model, sample, theta)
     if init is None:
         try:
             init = _chi2_system(A, sample.weights, theta, S)[0]
         except RankDeficiencyError:
-            return A, np.zeros(dim), None
-    return A, _shrink_feasible(fam, A, np.asarray(init, dtype=float), v), None
+            return theta, A, np.zeros(dim), None
+    return theta, A, _shrink_feasible(fam, A, np.asarray(init, dtype=float), v), None
 
 
 # Byte budget of the design tensor of one stacked solve_inner_many call and
@@ -567,24 +576,26 @@ def _solve_many(fam, model, problems, tol, hold_errors, stop, ws):
             sols, todo, A, t0 = [], [], [], []
             for sample, theta, init in chunk:
                 try:
-                    a, t, sol = _prepare(fam, model, sample, theta, init, lone)
+                    theta, a, t, sol = _prepare(fam, model, sample, theta, init, lone)
                 except Exception as exc:  # handed to the caller in place of the solution
                     if not hold_errors:
                         raise
                     a, t, sol = None, None, exc
                 if sol is None:
-                    todo.append(len(sols))
+                    todo.append((len(sols), sample, theta))
                     A.append(a)
                     t0.append(t)
                 sols.append(sol)
             del a
             if len(todo) == 1:
-                sols[todo[0]] = DualSolution(
-                    *_newton_ascent(fam, A[0], w, t0[0], tol, stop, ws), fam, w)
+                [(i, sample, theta)] = todo
+                sols[i] = DualSolution(*_newton_ascent(fam, A[0], w, t0[0], tol, stop, ws),
+                                       fam, model, sample, theta)
             elif todo:
                 A, t0 = np.stack(A), np.stack(t0)
-                for i, res in zip(todo, _newton_ascent_stack(fam, A, w, t0, tol, stop)):
-                    sols[i] = DualSolution(*res, fam, w)
+                for (i, sample, theta), res in zip(
+                        todo, _newton_ascent_stack(fam, A, w, t0, tol, stop)):
+                    sols[i] = DualSolution(*res, fam, model, sample, theta)
             del A
         yield from sols
 

@@ -61,20 +61,20 @@ def _int_at_least(value, lo):
 
 @dataclass
 class EstimationResult:
-    """Fit result; the variance blocks V_hat, S_hat, M_hat and W_hat (see
-    variance_blocks) are computed on first access and then cached."""
+    """Fit result, read from its inner solve; sigma2_hat and the variance blocks
+    V_hat, S_hat, M_hat and W_hat (see variance_blocks) are cached on first access."""
 
-    theta_hat: np.ndarray
-    t_hat: np.ndarray
-    divergence_hat: float
-    sigma2_hat: float
     inner: DualSolution
     diagnostics: dict = field(default_factory=dict)
-    problem: tuple = field(default=None, repr=False, compare=False)  # (fam, model, sample)
+    theta_hat = property(lambda self: self.inner.theta)
+    t_hat = property(lambda self: self.inner.t)
+    divergence_hat = property(lambda self: self.inner.value)
+    sigma2_hat = cached_property(lambda self: self.inner.sigma2)
 
     @cached_property
     def _blocks(self):
-        return variance_blocks(*self.problem, self.theta_hat, self.t_hat)
+        sol = self.inner
+        return variance_blocks(sol.fam, sol.model, sol.sample, sol.theta, sol.t)
 
     V_hat = property(lambda self: self._blocks[0])
     S_hat = property(lambda self: self._blocks[1])
@@ -84,7 +84,7 @@ class EstimationResult:
     def stderr(self):
         """Per-coordinate standard errors sqrt(V_ii / n), n the size of the
         fitted sample."""
-        return np.sqrt(np.clip(np.diag(self.V_hat), 0.0, None) / self.problem[2].n)
+        return np.sqrt(np.clip(np.diag(self.V_hat), 0.0, None) / self.inner.sample.n)
 
     def to_dict(self):
         """JSON-ready fields, with the standard errors."""
@@ -112,17 +112,15 @@ def profile_objective(fam, model, sample, theta):
 
 
 def profile_gradient(fam, model, sample, theta, inner):
-    """Theta-gradient of the profile with the dual vector held fixed."""
+    """Theta-gradient of the profile with the dual vector held fixed: the
+    envelope gradient of inner, which must be the solve of these fam, model
+    and sample (the same objects) at theta, else ValueError."""
+    if not (fam is inner.fam and model is inner.model and sample is inner.sample
+            and np.array_equal(model.check_theta(theta), inner.theta)):
+        raise ValueError("inner is not the solve of this family, model and sample at theta")
     if inner.status != "converged":
         raise EstimationError(f"inner solve did not converge (status={inner.status})")
-    return _envelope_grad(model, sample, model.check_theta(theta),
-                          inner.weights, inner.t)
-
-
-def _envelope_grad(model, sample, theta, weights, t):
-    # weights are w * psi'(A t), so only the Jacobian is evaluated here
-    jac = model.jac_values(sample.points, theta)
-    return -(weights @ np.einsum("ild,l->id", jac, t[1:]))
+    return inner.envelope_grad()
 
 
 def _latin_hypercube(rng, n, lo, hi):
@@ -184,47 +182,43 @@ def _lead(model, sample, pool):
     return np.argsort(scores, kind="stable")[0]
 
 
-def _outer_minimize(fam, model, sample, theta0, options):
+def _outer_minimize(fam, model, theta0, options):
     """Projected BFGS descent of the profile from one start; each inner
     solve is asked for by yielding (fam, theta, init) and answered with
-    its DualSolution, solved from init at options.inner_tol."""
+    its DualSolution, solved from init at options.inner_tol.  Returns
+    ((sol, iterations) at the end, or None at an infeasible start; diagnostics)."""
     lo, hi = model.theta_lo, model.theta_hi
     d = model.d
     theta = np.clip(np.asarray(theta0, dtype=float), lo, hi)
     sol = yield fam, theta, None
-    val = sol.value
-    if not np.isfinite(val):
+    if not np.isfinite(sol.value):
         return None, {"start": theta.tolist(), "reason": f"infeasible start ({sol.status})"}
-    grad = _envelope_grad(model, sample, theta, sol.weights, sol.t)
+    grad = sol.envelope_grad()
     hinv = np.eye(d)
     iters = 0
     for iters in range(1, options.outer_max_iter + 1):
         held = ((theta <= lo) & (grad > 0)) | ((theta >= hi) & (grad < 0))  # on a face
         pg = np.where(held, 0.0, grad)  # d = 1: a held theta ends the search
-        if abs(pg).max() <= options.outer_tol * (1.0 + abs(val)):
+        if abs(pg).max() <= options.outer_tol * (1.0 + abs(sol.value)):
             break
         p = -(hinv @ pg)
         p[held] = 0.0
         if p @ grad >= 0.0:
             p = -pg
-        alpha, accepted = 1.0, False
-        cand, cval, csol = theta, val, sol
+        alpha, csol = 1.0, None
         for _ in range(40):
             cand = np.clip(theta + alpha * p, lo, hi)
             s = cand - theta
             if abs(s).max() < 1e-14 * (1.0 + abs(theta).max()):
                 break
             csol = yield fam, cand, sol.t
-            cval = csol.value
-            if cval <= val + 1e-4 * float(grad @ s):
-                accepted = True
+            if csol.value <= sol.value + 1e-4 * float(grad @ s):
                 break
-            csol = None  # a rejected solve's u must not live through the next
+            csol = None  # rejected: its u must not live through the next solve
             alpha *= 0.5
-        if not accepted:
+        if csol is None:  # no step accepted
             break
-        grad_new = _envelope_grad(model, sample, cand, csol.weights, csol.t)
-        s = cand - theta
+        grad_new = csol.envelope_grad()  # s is this accepted step
         y = grad_new - grad
         sy = float(s @ y)
         if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
@@ -234,9 +228,9 @@ def _outer_minimize(fam, model, sample, theta0, options):
             hinv = left @ hinv @ left.T + rho * np.outer(s, s)
         else:
             hinv = np.eye(d)
-        theta, val, sol, grad = cand, cval, csol, grad_new
-    return (theta, val, sol, iters), {"start": np.asarray(theta0).tolist(),
-                                      "iterations": iters, "value": val}
+        theta, sol, grad = cand, csol, grad_new
+    return (sol, iters), {"start": np.asarray(theta0).tolist(),
+                          "iterations": iters, "value": sol.value}
 
 
 def variance_blocks(fam, model, sample, theta, t):
@@ -272,9 +266,10 @@ def variance_blocks(fam, model, sample, theta, t):
     s12 = -((A * (w * s2)[:, None]).T @ jt)
     s12[1:, :] -= np.einsum("i,ild->ld", w * s1, jac)
 
-    def grad_at(th):  # envelope gradient at th with t fixed, no box check
+    def grad_at(th):  # DualSolution.envelope_grad at th with t fixed, no box check
         u_th = t[0] + model.g_values(sample.points, th) @ t[1:]
-        return _envelope_grad(model, sample, th, w * fam.psi_d1(u_th), t)
+        jt_th = np.einsum("ild,l->id", model.jac_values(sample.points, th), t[1:])
+        return -((w * fam.psi_d1(u_th)) @ jt_th)
 
     d = model.d
     s22 = np.empty((d, d))
@@ -297,16 +292,16 @@ def variance_blocks(fam, model, sample, theta, t):
     return v, s_mat, m_mat, w_mat
 
 
-def _fit(fam, model, sample, options, lead, extra):
+def _fit(fam, model, options, lead, extra):
     """estimate's work from the leading start-pool candidate lead and the
     extra random starts, as a generator that asks for every inner solve as
     _outer_minimize does and returns the EstimationResult."""
     # refine the leading candidate against the quadratic profile, whose inner
     # problem is a closed-form linear solve; this lands every family's search
     # near the moment-type estimate, where the dual stays bounded
-    outcome, _ = yield from _outer_minimize(CHI2, model, sample, lead, options)
+    outcome, _ = yield from _outer_minimize(CHI2, model, lead, options)
     if outcome is not None:
-        lead = outcome[0]
+        lead = outcome[0].theta
     del outcome  # each kept solution holds an n-vector: keep only the best
     starts = []
     if options.theta0 is not None:
@@ -316,19 +311,18 @@ def _fit(fam, model, sample, options, lead, extra):
     best = None
     per_start = []
     for idx, start in enumerate(starts):
-        outcome, diag = yield from _outer_minimize(fam, model, sample, start, options)
+        outcome, diag = yield from _outer_minimize(fam, model, start, options)
         diag["index"] = idx
         per_start.append(diag)
-        if outcome is not None and (best is None or outcome[1] < best[1]):
+        if outcome is not None and (best is None or outcome[0].value < best[0].value):
             best = outcome
         del outcome
     if best is None:
         raise EstimationError("all starts failed", per_start)
-    theta, val, sol, iters = best
+    sol, iters = best
     diagnostics = {"outer_iterations": iters, "starts": per_start,
                    "inner_status": sol.status}
-    return EstimationResult(theta, sol.t, val, sol.sigma2, sol, diagnostics,
-                            (fam, model, sample))
+    return EstimationResult(sol, diagnostics)
 
 
 def estimate(fam, model, sample, options=None):
@@ -389,7 +383,7 @@ def _lockstep(fam, model, samples, options):
         except PhidivError as exc:
             out[i] = exc
             continue
-        fits[i] = _fit(fam, model, sample, options, pool[lead], extra)
+        fits[i] = _fit(fam, model, options, pool[lead], extra)
         advance(i)
     ws = _Workspace()  # one workspace for every round's lone solves
     while True:  # one round: the first family with waiting fits, CHI2 first

@@ -92,7 +92,7 @@ def test_models(fam, model, samples, alpha=0.05, options=None):
     for est in estimate_many(fam, model, samples, options):
         if not isinstance(est, PhidivError):
             try:
-                est = _model_report(model, est.problem[2], est, alpha), est
+                est = _model_report(model, est.inner.sample, est, alpha), est
             except PhidivError as exc:
                 est = exc
         yield est
@@ -108,18 +108,19 @@ def test_theta_simple(fam, model, sample, theta, alpha=0.05):
     return _report("simple-theta-test", stat, model.l, alpha, sol.sigma2)
 
 
-def _refit_if_missed(fam, model, sample, est, theta, value, options):
-    """The fit, redone with theta as an extra start when value, the criterion
-    at theta, lies below divergence_hat by more than the fit's own tolerance
-    (outer_tol, relative): the fit then missed the minimum.  A rounding-level
-    gap, as a cold solve at theta_hat gives, keeps the fit.  Returns
-    (fit, refitted)."""
+def _refit_if_missed(est, theta, value, options):
+    """The fit, redone on its problem with theta as an extra start when value,
+    the criterion at theta, lies below divergence_hat by more than the fit's
+    own tolerance (outer_tol, relative): the fit then missed the minimum.  A
+    rounding-level gap, as a cold solve at theta_hat gives, keeps the fit.
+    Returns (fit, refitted)."""
     options = options or EstimateOptions()
     slack = options.outer_tol * (1.0 + abs(est.divergence_hat))
     if value >= est.divergence_hat - slack:
         return est, False
     start = tuple(float(v) for v in np.atleast_1d(np.asarray(theta, dtype=float)))
-    return estimate(fam, model, sample, options=replace(options, theta0=start)), True
+    sol = est.inner
+    return estimate(sol.fam, sol.model, sol.sample, options=replace(options, theta0=start)), True
 
 
 def test_theta_composite(fam, model, sample, theta, alpha=0.05, options=None):
@@ -134,7 +135,7 @@ def test_theta_composite(fam, model, sample, theta, alpha=0.05, options=None):
     if sol.status != "converged":
         return _report("composite-theta-test", INF, model.d, alpha,
                        flag=f"inner solve {sol.status}; treated as rejection")
-    est, refitted = _refit_if_missed(fam, model, sample, est, theta, sol.objective, options)
+    est, refitted = _refit_if_missed(est, theta, sol.objective, options)
     flag = "fit missed the minimum; refitted from the tested theta" if refitted else None
     stat = 2.0 * sample.n * (sol.objective - est.divergence_hat)
     return _report("composite-theta-test", stat, model.d, alpha, est.sigma2_hat, flag)
@@ -169,8 +170,7 @@ def confidence_region(fam, model, sample, alpha, grid, options=None):
     converged = np.isfinite(objective)
     if converged.any():
         best = np.argmin(objective)
-        est, _ = _refit_if_missed(fam, model, sample, est, grid[best], objective[best],
-                                  options)
+        est, _ = _refit_if_missed(est, grid[best], objective[best], options)
     stat = 2.0 * sample.n * (objective[converged] - est.divergence_hat)
     pts = grid[converged][stat <= crit].reshape(-1, model.d)
     return pts, pts.shape[0] == 0

@@ -48,7 +48,8 @@ class MomentModel:
         object.__setattr__(self, "theta_hi", hi)
 
     def check_theta(self, theta):
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        # a copy: a solution keeps it, and the caller may reuse their array
+        theta = np.array(theta, dtype=float, ndmin=1)
         if theta.shape != (self.d,):
             raise ParameterSpaceError(f"theta must have dimension {self.d}")
         # written so that a NaN coordinate fails too

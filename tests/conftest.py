@@ -228,8 +228,7 @@ def estimate_one_at_a_time(fam, model, sample, options=None):
             scores.append(chi2_closed_form(model, sample, theta).objective)
         except RankDeficiencyError:
             scores.append(math.inf)
-    fit = _fit(fam, model, sample, options, pool[np.argsort(scores, kind="stable")[0]],
-               extra)
+    fit = _fit(fam, model, options, pool[np.argsort(scores, kind="stable")[0]], extra)
     reply = None
     try:
         while True:
@@ -254,8 +253,7 @@ def confidence_region_unstopped(fam, model, sample, alpha, grid, options=None):
     converged = ~np.isnan(objective)
     if converged.any():
         best = np.nanargmin(objective)
-        est, _ = _refit_if_missed(fam, model, sample, est, grid[best], objective[best],
-                                  options)
+        est, _ = _refit_if_missed(est, grid[best], objective[best], options)
     stat = 2.0 * sample.n * (objective[converged] - est.divergence_hat)
     pts = grid[converged][stat <= crit].reshape(-1, model.d)
     return pts, pts.shape[0] == 0

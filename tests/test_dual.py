@@ -376,6 +376,52 @@ def test_stacked_calls_take_any_samples():
         [solution_bits(solve_inner(KLM, MV, s, theta)) for s, theta in problems]
 
 
+def separated_chunk(theta):
+    """solve_inner_many of a chunk whose other thetas are separated, so that
+    theta is the lone solve they leave behind; its solution."""
+    problems = [(SEPARATED, [-2.0], None), (SEPARATED, theta, None),
+                (SEPARATED, [5.0], None)]
+    return list(solve_inner_many(KLM, MV, problems, hold_errors=False))[1]
+
+
+# every path that builds a DualSolution, as theta -> the solution at theta
+CONSTRUCTION_PATHS = {
+    "lone newton": lambda theta: solve_inner(KLM, MV, SEPARATED, theta),
+    "stacked chunk": lambda theta: list(solve_inner_many(
+        KLM, MV, [(SEPARATED, th, None) for th in ([0.3], theta, [0.45])]))[1],
+    "lone in a stacked chunk": separated_chunk,
+    "separated": lambda theta: solve_inner(KLM, MV, SEPARATED, -2.0 * np.asarray(theta)),
+    "chi2 closed form": lambda theta: chi2_closed_form(MV, SEPARATED, theta),
+}
+
+
+@pytest.mark.parametrize("path", CONSTRUCTION_PATHS)
+@pytest.mark.parametrize("theta", [[0.4], 0.4], ids=["list", "scalar"])
+def test_every_solution_records_the_problem_it_solved(path, theta):
+    sol = CONSTRUCTION_PATHS[path](theta)
+    want = MV.check_theta(-2.0 * np.asarray(theta) if path == "separated" else theta)
+    fam = CHI2 if path == "chi2 closed form" else KLM
+    assert sol.fam is fam and sol.model is MV and sol.sample is SEPARATED
+    assert sol.theta.dtype == want.dtype and np.array_equal(sol.theta, want)
+    assert sol.status == ("unbounded" if path == "separated" else "converged")
+
+
+def test_a_solution_keeps_its_theta_when_the_callers_array_changes():
+    theta = np.array([0.4])
+    sol = solve_inner(KLM, MV, SEPARATED, theta)
+    theta[0] = 0.9
+    assert sol.theta.tolist() == [0.4]
+    assert sol.objective == solve_inner(KLM, MV, SEPARATED, [0.4]).objective
+
+
+def test_stacked_envelope_gradients_equal_lone_ones_bit_for_bit():
+    grid = np.linspace(0.05, 0.95, 19)
+    stacked = solve_inner_many(KLM, MV, [(SEPARATED, [theta], None) for theta in grid])
+    got = [sol.envelope_grad().tobytes() for sol in stacked]
+    assert got == [solve_inner(KLM, MV, SEPARATED, [theta]).envelope_grad().tobytes()
+                   for theta in grid]
+
+
 def test_chunks_cut_at_the_budget_and_at_new_weights_lazily(monkeypatch):
     s = WeightedSample.from_points(np.linspace(-1.0, 1.0, 50))
     same = WeightedSample(s.points, s.weights.copy())  # equal bytes, another array

@@ -1,5 +1,5 @@
 import importlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -80,6 +80,37 @@ def test_profile_gradient_requires_convergence():
     _, sol = profile_objective(KLM, MEAN, s01, [1.0])
     with pytest.raises(EstimationError):
         profile_gradient(KLM, MEAN, s01, [1.0], sol)
+
+
+S200 = WeightedSample.from_points(np.random.default_rng(0).uniform(-1.0, 1.2, 200))
+
+
+@pytest.mark.parametrize("other", [
+    {"theta": [0.9]}, {"model": MEAN}, {"fam": KL},
+    {"sample": WeightedSample.from_points(np.random.default_rng(1).uniform(-1.0, 1.2, 200))},
+    {"sample": WeightedSample.from_points(S200.points[:100])}],
+    ids=["theta", "model", "fam", "sample", "smaller-sample"])
+def test_profile_gradient_refuses_a_solve_of_another_problem(other):
+    # a solution's gradient is that of its own problem: arguments naming
+    # another are refused, not answered with it or with a numpy error
+    _, sol = profile_objective(KLM, MV, S200, [0.4])
+    assert sol.converged
+    args = {"fam": KLM, "model": MV, "sample": S200, "theta": np.array([0.4])}
+    for theta in (args["theta"], 0.4):  # equal after check_theta
+        got = profile_gradient(**{**args, "theta": theta}, inner=sol)
+        assert got.tobytes() == sol.envelope_grad().tobytes()
+    with pytest.raises(ValueError, match="inner is not the solve"):
+        profile_gradient(**{**args, **other}, inner=sol)
+
+
+def test_fit_reads_every_fact_of_its_inner_solve(rng):
+    s = WeightedSample.from_points(rng.uniform(-1.0, 1.2, 60))
+    est = estimate(KLM, MV, s, options=FAST)
+    assert [f.name for f in fields(est)] == ["inner", "diagnostics"]
+    assert est.theta_hat is est.inner.theta and est.t_hat is est.inner.t
+    assert est.inner.fam is KLM and est.inner.model is MV and est.inner.sample is s
+    assert est.divergence_hat == est.inner.objective
+    assert est.sigma2_hat == est.inner.sigma2
 
 
 @pytest.mark.parametrize("fam", [KLM, KL, CHI2], ids=lambda f: f.name)
