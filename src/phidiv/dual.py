@@ -34,7 +34,7 @@ MAX_ITER = 200          # Newton iteration cap
 MARGIN = 1e-10          # strict-feasibility margin of the Newton line search
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity: the fields are arrays
 class DualSolution:
     t: np.ndarray
     u: np.ndarray = field(repr=False)  # A @ t: the psi arguments at t
@@ -61,7 +61,8 @@ class DualSolution:
     @property
     def sigma2(self):
         """Variance under the weights w of the criterion integrand t_0 - psi(u)."""
-        m_vals = _psi_arr(self.fam.gamma, self.u, np.empty_like(self.u))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            m_vals = _psi_arr(self.fam.gamma, self.u, np.empty_like(self.u))
         np.subtract(self.t[0], m_vals, out=m_vals)  # in place: one n-vector
         mbar = float(self.sample.weights @ m_vals)
         m_vals **= 2
@@ -127,12 +128,12 @@ def _augmented(model, sample, theta, ws=None):
 # The private evaluators take u = A @ t, computed once per trial point by the
 # caller and shared by the feasibility test, value, derivatives and weights.
 # v and S, when given, are a workspace's arrays (the values do not change).
+# They run under the caller's error state, as families' private ones do.
 
 def _objective(fam, w, u, t, v=None):
-    vals = _psi_arr(fam.gamma, u, v)
-    if not np.isfinite(vals).all():
-        return -np.inf
-    return float(t[0] - w @ vals)
+    # w > 0 and finite: the sum is finite exactly when every psi value is
+    s = w @ _psi_arr(fam.gamma, u, v)
+    return float(t[0] - s) if math.isfinite(s) else -math.inf
 
 
 def _grad(fam, A, w, u, v=None):
@@ -256,26 +257,28 @@ def _newton_ascent(fam, A, w, t0, tol, stop, ws):
     workspace ws gives the S and v that serve every request (A is ws.A
     unless it was set up in a stacked chunk)."""
     _, S, v = ws.arrays(*A.shape)
+    lo, hi = fam.interior(MARGIN)
     gen = _newton(np.array(t0, dtype=float), tol, stop)
     request = next(gen)
     try:
         while True:
-            request = gen.send(_answer(fam, A, w, *request, S, v))
+            request = gen.send(_answer(fam, A, w, *request, S, v, lo, hi))
     except StopIteration as end:
         return end.value
 
 
-def _answer(fam, A, w, kind, x, S, v):
-    """The reply to one request of _newton.  A function of its own, so that
-    no n-vector it makes stays bound while the next request is answered:
-    held in the driver's loop, they raised a solve's peak by one n-vector.
-    With the workspace's S and v, the only n-sized arrays it makes are the
-    u = A t of EVAL and TRIAL, which _newton keeps."""
+def _answer(fam, A, w, kind, x, S, v, lo, hi):
+    """The reply to one request of _newton, a trial point feasible when
+    every entry of its A cand lies in (lo, hi).  A function of its own, so
+    that no n-vector it makes stays bound while the next request is
+    answered: held in the driver's loop, they raised a solve's peak by one
+    n-vector.  With the workspace's S and v, the only n-sized arrays it
+    makes are the u = A t of EVAL and TRIAL, which _newton keeps."""
     if kind == _TRIAL:
         t, alpha, step = x
         cand = t + alpha * step
         ucand = A @ cand
-        if fam.strictly_feasible(ucand, margin=MARGIN):
+        if ucand.min() > lo and ucand.max() < hi:
             return cand, ucand, _objective(fam, w, ucand, cand, v)
         return cand, ucand, None
     if kind == _GRAD:
@@ -283,8 +286,8 @@ def _answer(fam, A, w, kind, x, S, v):
         return grad, float(abs(grad).max())
     if kind == _SOLVE:
         u, grad = x
-        step, ridge = _solve_psd(-_hess(fam, A, w, u, S, v), grad)
-        return step, ridge, float(grad @ step), np.isfinite(step).all()
+        step, ridge, finite = _solve_psd(-_hess(fam, A, w, u, S, v), grad)
+        return step, ridge, float(grad @ step), finite
     u = A @ x
     return u, _objective(fam, w, u, x, v)
 
@@ -301,14 +304,8 @@ def _dot_rows(a, b):
 
 def _objective_rows(fam, w, U, T):
     """_objective of every row of U and T."""
-    vals = _psi_arr(fam.gamma, U)
-    ok = np.isfinite(vals).all(axis=1)
-    if ok.all():
-        return T[:, 0] - np.matmul(vals[:, None, :], w[:, None])[:, 0, 0]
-    f = np.full(U.shape[0], -np.inf)
-    if ok.any():
-        f[ok] = T[ok, 0] - np.matmul(vals[ok][:, None, :], w[:, None])[:, 0, 0]
-    return f
+    s = np.matmul(_psi_arr(fam.gamma, U)[:, None, :], w[:, None])[:, 0, 0]
+    return np.where(np.isfinite(s), T[:, 0] - s, -np.inf)
 
 
 def _newton_ascent_stack(fam, A, w, t0, tol, stop):
@@ -340,18 +337,16 @@ def _newton_ascent_stack(fam, A, w, t0, tol, stop):
         # -_hess of each slice: negating twice is exact
         neg_h = np.matmul((Ak * s2[:, :, None]).transpose(0, 2, 1), Ak)
         grad = np.array([g for _, g in pairs])
-        ridge = [False] * len(pairs)
-        try:  # _solve_psd's first attempt: + 0 * I turns -0.0 into 0.0 too
-            step = np.linalg.solve(neg_h + 0.0 * np.eye(neg_h.shape[1]),
-                                   grad[:, :, None])[:, :, 0]
+        ridge, finite = [False] * len(pairs), [True] * len(pairs)
+        try:  # _solve_psd's first attempt: + 0.0 turns -0.0 into 0.0 too
+            step = np.linalg.solve(neg_h + 0.0, grad[:, :, None])[:, :, 0]
             redo = np.flatnonzero(~np.isfinite(step).all(axis=1))
         except np.linalg.LinAlgError:  # some slice is singular
             step = np.empty_like(grad)
             redo = range(len(pairs))
         for j in redo:  # _solve_psd repeats the plain solve, then adds a ridge
-            step[j], ridge[j] = _solve_psd(neg_h[j], grad[j])
-        return zip(step, ridge, _dot_rows(grad, step).tolist(),
-                   np.isfinite(step).all(axis=1).tolist())
+            step[j], ridge[j], finite[j] = _solve_psd(neg_h[j], grad[j])
+        return zip(step, ridge, _dot_rows(grad, step).tolist(), finite)
 
     def trial(Ak, reqs):
         alpha = np.array([a for _, a, _ in reqs])[:, None]
@@ -390,17 +385,21 @@ def _newton_ascent_stack(fam, A, w, t0, tol, stop):
 
 def _solve_psd(neg_h, grad):
     """Solve neg_h step = grad, adding a growing ridge when the plain solve
-    fails; returns (step, ridge used), step all nan when every try failed."""
-    ridge = 0.0
+    fails; returns (step, ridge used, step finite), step all nan when every
+    try failed.  The plain try adds 0.0, the bits of a zero ridge: it turns
+    -0.0 entries into 0.0."""
+    lhs = neg_h + 0.0
     for attempt in range(3):
+        if attempt:
+            ridge = max(1e-12 * np.trace(neg_h), 1e-300) * 10.0 ** (attempt - 1)
+            lhs = neg_h + ridge * np.eye(neg_h.shape[0])
         try:
-            step = np.linalg.solve(neg_h + ridge * np.eye(neg_h.shape[0]), grad)
+            step = np.linalg.solve(lhs, grad)
             if np.isfinite(step).all():
-                return step, attempt > 0
+                return step, attempt > 0, True
         except np.linalg.LinAlgError:
             pass
-        ridge = max(1e-12 * np.trace(neg_h), 1e-300) * 10.0 ** attempt
-    return np.full_like(grad, np.nan), True
+    return np.full_like(grad, np.nan), True, False
 
 
 def _singular(evals):
@@ -570,8 +569,9 @@ def _solve_many(fam, model, problems, tol, hold_errors, stop, ws):
     for chunk in _chunks(model, problems):
         lone = ws if len(chunk) == 1 else None
         # overflowing moment functions end in a typed error or status, not
-        # a numpy warning; the state is not held across the yield
-        with np.errstate(over="ignore", invalid="ignore"):
+        # a numpy warning, and so do the conjugates of every request, which
+        # set no state of their own; the state is not held across the yield
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             w = chunk[0][0].weights
             sols, todo, A, t0 = [], [], [], []
             for sample, theta, init in chunk:

@@ -59,7 +59,7 @@ def _int_at_least(value, lo):
         return False
 
 
-@dataclass
+@dataclass(eq=False)  # == is identity: the fields are arrays
 class EstimationResult:
     """Fit result, read from its inner solve; sigma2_hat and the variance blocks
     V_hat, S_hat, M_hat and W_hat (see variance_blocks) are cached on first access."""

@@ -51,15 +51,18 @@ class DivergenceFamily:
 
     def psi(self, t):
         """Conjugate value; closure value at finite endpoints, +inf outside."""
-        return _as_like(t, _psi_arr(self.gamma, np.asarray(t, dtype=float)))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return _as_like(t, _psi_arr(self.gamma, np.atleast_1d(np.asarray(t, dtype=float))))
 
     # Array-friendly derivative evaluators.  Callers (the dual solver) are
     # responsible for feasibility; out-of-domain entries come back inf/nan.
     def psi_d1(self, t):
-        return _psi_d1(self.gamma, np.asarray(t, dtype=float))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return _psi_d1(self.gamma, np.asarray(t, dtype=float))
 
     def psi_d2(self, t):
-        return _psi_d2(self.gamma, np.asarray(t, dtype=float))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            return _psi_d2(self.gamma, np.asarray(t, dtype=float))
 
     def interior(self, margin=1e-10):
         """Bounds (lo, hi) of dom psi shrunk by an absolute margin at a
@@ -82,10 +85,12 @@ def _as_like(x, arr):
     return np.asarray(arr)
 
 
-# The private evaluators below take an optional out, an array shaped like t
-# that receives the values (the dual solver's workspace).  With or without
-# it they apply the same numpy operations in the same order, so the values
-# are the same bit for bit.
+# The private evaluators below take a float array t and an optional out, an
+# array shaped like t that receives the values (the dual solver's
+# workspace).  With or without it they apply the same numpy operations in
+# the same order, so the values are the same bit for bit.  They run under
+# their caller's error state, which must ignore divide, over and invalid
+# (the public methods above and dual._solve_many each set one).
 
 def _psi_d1(g, t, out=None):
     """psi' of the family g at the array t."""
@@ -107,15 +112,13 @@ def _psi_power_d(g, t, num, out=None):
     for g = 1, else ((g - 1) t + 1) ** (num / (g - 1)), flat (0) below
     a_star for g > 1."""
     if g == 1.0:
-        with np.errstate(over="ignore"):
-            return np.exp(t, out=out)
+        return np.exp(t, out=out)
     if g > 1.0 and out is None:
         out = np.empty_like(t)  # an array, also for a 0-d t: d[~pos] writes it
     d = np.multiply(g - 1.0, t, out=out)
     d += 1.0
     pos = d > 0.0 if g > 1.0 else None
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        d **= num / (g - 1.0)  # in place, ** takes the same path as base ** e
+    d **= num / (g - 1.0)  # in place, ** takes the same path as base ** e
     if pos is not None:
         d[~pos] = 0.0
     return d
@@ -145,28 +148,25 @@ def _psi_arr(g, t, out=None):
     """psi of the family g at every entry of t, into out when given.  The
     formula runs in place over the whole array; only the entries outside
     the open domain, if any, are then set to +inf or the closure value."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
     if g == 2.0:
         out = np.multiply(0.5, t, out=out)
         out *= t
         out += t
         return out
     if g == 1.0:
-        with np.errstate(over="ignore"):
-            return np.expm1(t, out=out)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if g == 0.0:
-            inside = t < 1.0
-            out = np.negative(t, out=out)
-            np.log1p(out, out=out)
-            np.negative(out, out=out)
-        else:
-            out = np.multiply(g - 1.0, t, out=out)  # the base (g - 1) t + 1
-            out += 1.0
-            inside = out > 0.0
-            out **= g / (g - 1.0)
-            out -= 1.0
-            out /= g
+        return np.expm1(t, out=out)
+    if g == 0.0:
+        inside = t < 1.0
+        out = np.negative(t, out=out)
+        np.log1p(out, out=out)
+        np.negative(out, out=out)
+    else:
+        out = np.multiply(g - 1.0, t, out=out)  # the base (g - 1) t + 1
+        out += 1.0
+        inside = out > 0.0
+        out **= g / (g - 1.0)
+        out -= 1.0
+        out /= g
     if inside.all():
         return out
     outside = ~inside

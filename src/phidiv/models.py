@@ -37,15 +37,18 @@ class MomentModel:
         jac = None if self.jacobian is None else np.array(self.jacobian, dtype=float)
         if jac is not None and (jac.shape != (self.l, self.d) or not np.isfinite(jac).all()):
             raise ValueError(f"jacobian must be a finite {self.l} x {self.d} matrix")
-        object.__setattr__(self, "jacobian", jac)
         lo = np.full(self.d, -10.0) if self.theta_lo is None else np.broadcast_to(
             np.asarray(self.theta_lo, dtype=float), (self.d,)).copy()
         hi = np.full(self.d, 10.0) if self.theta_hi is None else np.broadcast_to(
             np.asarray(self.theta_hi, dtype=float), (self.d,)).copy()
         if np.any(lo >= hi):
             raise ValueError("parameter box must have lo < hi")
-        object.__setattr__(self, "theta_lo", lo)
-        object.__setattr__(self, "theta_hi", hi)
+        # read-only copies: a model is shared (get_model), so no caller may
+        # change its box or Jacobian for the others
+        for name, arr in (("jacobian", jac), ("theta_lo", lo), ("theta_hi", hi)):
+            if arr is not None:
+                arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def check_theta(self, theta):
         # a copy: a solution keeps it, and the caller may reuse their array
@@ -68,7 +71,7 @@ class MomentModel:
         return out.reshape(-1, self.l, self.d)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # == is identity: the fields are arrays
 class WeightedSample:
     """Finite-support measure: n points in R^m with probability weights.
 
@@ -150,10 +153,15 @@ def register_model(name, model):
     _REGISTRY[name] = model
 
 
+_BUILTINS = {name: builtin_model(name) for name in ("mean", "mean-variance")}
+
+
 def get_model(name):
+    """The model registered under name, else that built-in: one object per
+    name, so that every call gives the model a solution records."""
     if name in _REGISTRY:
         return _REGISTRY[name]
-    return builtin_model(name)
+    return _BUILTINS[name] if name in _BUILTINS else builtin_model(name)  # unknown: ValueError
 
 
 def load_csv(path, header=False):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,9 +21,15 @@ S02 = WeightedSample.from_points(np.array([0.0, 2.0]))
 S012 = WeightedSample.from_points(np.array([0.0, 1.0, 2.0]))
 
 
+# the error state the dual solver holds around every request: its private
+# evaluators set none of their own
+QUIET = dict(divide="ignore", over="ignore", invalid="ignore")
+
+
 def objective_at(fam, model, sample, theta, t):
     A = _augmented(model, sample, np.atleast_1d(theta))
-    return _objective(fam, sample.weights, A @ t, t)
+    with np.errstate(**QUIET):
+        return _objective(fam, sample.weights, A @ t, t)
 
 
 def grad_hess_at(fam, model, sample, theta, t):
@@ -42,6 +50,81 @@ def test_dual_objective_values():
     assert objective_at(CHI2, MEAN, S01, [1.0], np.array([1.0, 2.0])) \
         == pytest.approx(0.5, abs=1e-12)
     assert objective_at(KLM, MEAN, S01, [1.0], np.array([2.0, 0.0])) == -np.inf
+
+
+# psi arguments inside dom psi, holding nan, at KLm's edge u = 1, past it,
+# and whose weighted conjugate sum overflows to +inf (chi2 at 1.5e154, KL at
+# 709.7, twice each under unit weights) while every value is finite
+RULE_CASES = [[-0.5, 0.2, 0.7], [-0.5, np.nan, 0.7], [0.2, 1.0, -0.3],
+              [0.2, 1.5, 40.0], [1.5e154, 1.5e154, 0.1], [709.7, 709.7, 0.1]]
+RULE_FAMILIES = [KLM, KL, CHI2, CHI2M, HELLINGER, power_family(1.5), power_family(3.0)]
+
+
+def old_objective(fam, w, u, t):
+    """_objective as it was: every psi value scanned for finiteness."""
+    vals = fam.psi(u)
+    if not np.isfinite(vals).all():
+        return -np.inf
+    return float(t[0] - w @ vals)
+
+
+@pytest.mark.parametrize("fam", RULE_FAMILIES, ids=lambda f: f.name)
+def test_objective_reads_finiteness_from_the_sum_bit_for_bit(fam):
+    # w > 0 is finite, so w @ psi is finite exactly when every psi value
+    # is, and a sum that overflows to +inf gives -inf as before
+    t, U = np.array([0.25, -1.0, 2.0]), np.array(RULE_CASES)
+    for w in (np.array([0.2, 0.3, 0.5]), np.ones(3)):
+        with np.errstate(**QUIET):
+            want = [old_objective(fam, w, u, t).hex() for u in U]
+            got = [_objective(fam, w, u.copy(), t).hex() for u in U]
+            rows = dual._objective_rows(fam, w, U, np.tile(t, (len(U), 1)))
+            sums = [w @ fam.psi(u) for u in U]
+        assert got == want
+        assert [float(f).hex() for f in rows] == want
+    if fam in (CHI2, KL):  # finite values whose unit-weight sum overflows
+        k = 4 if fam is CHI2 else 5
+        assert np.isfinite(fam.psi(U[k])).all() and sums[k] == np.inf
+
+
+def old_solve_psd(neg_h, grad):
+    """_solve_psd as it was: a zero ridge added as 0 * I."""
+    ridge = 0.0
+    for attempt in range(3):
+        try:
+            step = np.linalg.solve(neg_h + ridge * np.eye(neg_h.shape[0]), grad)
+            if np.isfinite(step).all():
+                return step, attempt > 0
+        except np.linalg.LinAlgError:
+            pass
+        ridge = max(1e-12 * np.trace(neg_h), 1e-300) * 10.0 ** attempt
+    return np.full_like(grad, np.nan), True
+
+
+@pytest.mark.parametrize("neg_h", [
+    [[2.0, -0.0, 0.5], [-0.0, 3.0, -0.0], [0.5, -0.0, 1.0]],  # -0.0 entries
+    [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]],      # singular: a ridge
+    [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],      # ridge of 1e-300
+    [[1.0, np.nan, 0.0], [np.nan, 1.0, 0.0], [0.0, 0.0, 1.0]],  # every try fails
+], ids=["negative-zeros", "singular", "zero", "nan"])
+def test_solve_psd_adds_a_zero_ridge_as_zero_bit_for_bit(neg_h):
+    neg_h, grad = np.array(neg_h), np.array([1.0, -2.0, 0.5])
+    want_step, want_ridge = old_solve_psd(neg_h, grad)
+    with np.errstate(**QUIET):
+        step, ridge, finite = dual._solve_psd(neg_h, grad)
+    assert (step.tobytes(), ridge) == (want_step.tobytes(), want_ridge)
+    assert finite == np.isfinite(step).all()
+
+
+def test_solves_whose_conjugates_overflow_raise_no_warning():
+    # a large warm start overflows KL's conjugate at the start: the solver's
+    # one error state per chunk covers every request, lone and stacked
+    fam, model, sample, grid, init = grid_case(1.0, "mean-variance", 40, 4, False, "large", 12)
+    assert np.isinf(fam.psi(_augmented(model, sample, grid[0]) @ init)).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        lone = list(solve_inner_many(fam, model, [(sample, grid[0], init)]))
+        stacked = list(solve_inner_many(fam, model, [(sample, th, init) for th in grid]))
+    assert solution_bits(lone[0]) == solution_bits(stacked[0])
 
 
 def test_dual_grad_hess_at_zero():

@@ -85,6 +85,20 @@ def test_profile_gradient_requires_convergence():
 S200 = WeightedSample.from_points(np.random.default_rng(0).uniform(-1.0, 1.2, 200))
 
 
+def test_profile_gradient_takes_a_solve_made_with_an_earlier_get_model():
+    _, sol = profile_objective(KLM, get_model("mean-variance"), S200, [0.4])
+    grad = profile_gradient(KLM, get_model("mean-variance"), S200, [0.4], sol)
+    assert grad.tobytes() == sol.envelope_grad().tobytes()
+
+
+def test_solutions_and_fits_compare_by_identity():
+    # the fields are arrays: == is identity, a bool, and each hashes
+    fit, other = estimate(KLM, MV, S200, FAST), estimate(KLM, MV, S200, FAST)
+    for x, y in ((fit.inner, other.inner), (fit, other)):
+        assert (x == x) is True and (x == y) is False and (x != y) is True
+        assert len({x, y, x}) == 2
+
+
 @pytest.mark.parametrize("other", [
     {"theta": [0.9]}, {"model": MEAN}, {"fam": KL},
     {"sample": WeightedSample.from_points(np.random.default_rng(1).uniform(-1.0, 1.2, 200))},

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from phidiv.families import _psi_arr
 from conftest import numeric_conjugate, phi_derivs, psi_derivs
 
 ALL = [KLM, KL, CHI2, CHI2M, HELLINGER]
+QUIET = dict(divide="ignore", over="ignore", invalid="ignore")  # the dual solver's
 
 
 def interior_grid(fam, num=41, span=3.0):
@@ -192,9 +194,25 @@ def test_conjugate_of_a_mixed_array_is_entrywise_bit_for_bit(gamma):
     ts = np.array([-3.0, -0.4, 0.0, 0.3, 0.49, 0.999, 1.0, 2.5, 40.0, np.nan]
                   + edges + [e - 1e-3 for e in edges] + [e + 1e-3 for e in edges])
     alone = [fam.psi(t) for t in ts]
-    got = _psi_arr(gamma, ts)
-    into = _psi_arr(gamma, ts, np.empty_like(ts))
+    with np.errstate(**QUIET):  # the private one runs under its caller's state
+        got = _psi_arr(gamma, ts)
+        into = _psi_arr(gamma, ts, np.empty_like(ts))
     assert got.tobytes() == into.tobytes() == np.array(alone).tobytes()
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1.0, 2.0, -1.0, 0.5, 3.0, 1.5, -0.5])
+def test_public_conjugates_of_a_mixed_array_raise_no_warning(gamma):
+    # the public evaluators own their error state: nan, the domain edges,
+    # entries beyond them and overflowing ones warn of nothing
+    fam = power_family(gamma)
+    edges = [e for e in (fam.a_star, fam.b_star) if math.isfinite(e)]
+    ts = np.array([-3.0, -0.4, 0.0, 0.999, 1.0, 2.5, 40.0, 800.0, -1e308, np.nan]
+                  + edges + [e - 1e-3 for e in edges] + [e + 1e-3 for e in edges])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for evaluate in (fam.psi, fam.psi_d1, fam.psi_d2):
+            evaluate(ts)
+            [evaluate(t) for t in ts]
 
 
 @pytest.mark.parametrize("gamma", [1.5, 3.0, 4.0])

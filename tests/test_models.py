@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from phidiv import (DataError, MomentModel, ParameterSpaceError,
                     WeightedSample, builtin_model, get_model, load_csv,
                     register_model)
+from phidiv import models
 from phidiv.dual import _augmented
 
 
@@ -99,6 +100,28 @@ def test_register_model_roundtrip():
     register_model("custom", custom)
     assert get_model("custom") is custom
     assert np.allclose(custom.theta_lo, [0.0])
+
+
+@pytest.mark.parametrize("name", ["mean", "mean-variance"])
+def test_get_model_gives_one_read_only_model_per_name(name, monkeypatch):
+    # one object per built-in name, so a solution made with an earlier
+    # call's model is the problem of a later call; shared, its box and
+    # Jacobian are read-only
+    model = get_model(name)
+    assert get_model(name) is model
+    for arr in (model.theta_lo, model.theta_hi, model.jacobian):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+    custom = MomentModel("custom", model.m, model.d, model.l, model.g, model.g_jac)
+    monkeypatch.setitem(models._REGISTRY, name, custom)  # a registered name wins
+    assert get_model(name) is custom
+
+
+def test_samples_compare_by_identity():
+    # the fields are arrays: == is identity, a bool, and a sample hashes
+    a, b = WeightedSample.from_points(np.arange(3.0)), WeightedSample.from_points(np.arange(3.0))
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+    assert len({a, b, a}) == 2
 
 
 def test_load_csv(tmp_path):
