@@ -16,7 +16,7 @@ from .errors import (DataError, DomainError, EstimationError,
                      NotApplicableError, ParameterSpaceError, PhidivError,
                      RankDeficiencyError)
 from .estimate import (EstimateOptions, EstimationResult, estimate,
-                       profile_gradient, profile_objective, variance_blocks)
+                       profile_objective, variance_blocks)
 from .families import (CHI2, CHI2M, HELLINGER, KL, KLM, DivergenceFamily,
                        family, power_family)
 from .inference import (TestReport, confidence_region, power_approx,
@@ -35,7 +35,7 @@ __all__ = [
     "get_model", "load_csv",
     "DualSolution", "solve_inner", "chi2_closed_form",
     "EstimateOptions", "EstimationResult", "estimate",
-    "profile_objective", "profile_gradient", "variance_blocks",
+    "profile_objective", "variance_blocks",
     "TestReport", "test_model", "test_theta_simple", "test_theta_composite",
     "confidence_region", "power_approx", "sample_size", "sample_size_real",
     "chi2_cdf", "chi2_quantile", "normal_cdf", "normal_quantile",

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, RankDeficiencyError
+from .errors import DomainError, EstimationError, RankDeficiencyError
 from .families import CHI2, DivergenceFamily, _psi_arr, _psi_d1, _psi_d2
 from .models import MomentModel, WeightedSample
 
@@ -78,9 +78,16 @@ class DualSolution:
         return None
 
     def envelope_grad(self):
-        """Theta-gradient of the profile, t held fixed: -sum_i Q_i J(X_i, theta)' t[1:]."""
-        jac = self.model.jac_values(self.sample.points, self.theta)
-        return -(self.weights @ np.einsum("ild,l->id", jac, self.t[1:]))
+        """Theta-gradient of the profile, t held fixed: -sum_i Q_i J(X_i, theta)' t[1:];
+        EstimationError unless the solve converged."""
+        if not self.converged:
+            raise EstimationError(f"inner solve did not converge (status={self.status})")
+        return self._envelope_at(self.theta, self.u)
+
+    def _envelope_at(self, theta, u):
+        """envelope_grad's formula at theta, u the psi arguments there, t held fixed."""
+        jt = np.einsum("ild,l->id", self.model.jac_values(self.sample.points, theta), self.t[1:])
+        return -((self.sample.weights * self.fam.psi_d1(u)) @ jt)
 
     def to_dict(self):
         return {

@@ -49,6 +49,15 @@ class EstimateOptions:
         for name in ("outer_tol", "inner_tol"):
             # nan ended in "all starts failed" and -1 in a search run to its cap
             _check_tol(name, getattr(self, name))
+        if self.theta0 is not None:  # its dimension is checked against the model
+            try:  # nan failed the whole fit; a start outside the box is clipped into it
+                start = np.asarray(self.theta0)
+                real = start.dtype.kind in "iuf" and start.ndim <= 1 and not np.isnan(start).any()
+            except ValueError:  # a ragged sequence
+                real = False
+            if not real:
+                raise ValueError(f"theta0 must be a vector of real numbers without nan, "
+                                 f"not {self.theta0!r}")
 
 
 def _int_at_least(value, lo):
@@ -70,12 +79,7 @@ class EstimationResult:
     t_hat = property(lambda self: self.inner.t)
     divergence_hat = property(lambda self: self.inner.value)
     sigma2_hat = cached_property(lambda self: self.inner.sigma2)
-
-    @cached_property
-    def _blocks(self):
-        sol = self.inner
-        return variance_blocks(sol.fam, sol.model, sol.sample, sol.theta, sol.t)
-
+    _blocks = cached_property(lambda self: variance_blocks(self.inner))
     V_hat = property(lambda self: self._blocks[0])
     S_hat = property(lambda self: self._blocks[1])
     M_hat = property(lambda self: self._blocks[2])
@@ -109,18 +113,6 @@ def profile_objective(fam, model, sample, theta):
     """
     sol = solve_inner(fam, model, sample, theta)
     return sol.value, sol
-
-
-def profile_gradient(fam, model, sample, theta, inner):
-    """Theta-gradient of the profile with the dual vector held fixed: the
-    envelope gradient of inner, which must be the solve of these fam, model
-    and sample (the same objects) at theta, else ValueError."""
-    if not (fam is inner.fam and model is inner.model and sample is inner.sample
-            and np.array_equal(model.check_theta(theta), inner.theta)):
-        raise ValueError("inner is not the solve of this family, model and sample at theta")
-    if inner.status != "converged":
-        raise EstimationError(f"inner solve did not converge (status={inner.status})")
-    return inner.envelope_grad()
 
 
 def _latin_hypercube(rng, n, lo, hi):
@@ -233,22 +225,20 @@ def _outer_minimize(fam, model, theta0, options):
                           "iterations": iters, "value": sol.value}
 
 
-def variance_blocks(fam, model, sample, theta, t):
-    """Empirical variance objects evaluated at (theta, t).
+def variance_blocks(sol):
+    """Empirical variance objects at the (theta, t) of the DualSolution sol.
 
     Returns (V, S, M, W): the efficient parameter covariance, the joint
     second-derivative matrix, the outer-product matrix of first derivatives,
     and the sandwich S^-1 M S^-1.  The scalar variance of the divergence
     estimate is the fit's sigma2_hat.
     """
-    theta = model.check_theta(theta)
-    w = sample.weights
-    A = _augmented(model, sample, theta)
+    model, x, w, theta, t = sol.model, sol.sample.points, sol.sample.weights, sol.theta, sol.t
+    A = _augmented(model, sol.sample, theta)
     g = A[:, 1:]
-    jac = model.jac_values(sample.points, theta)
-    u = A @ t
-    s1 = fam.psi_d1(u)
-    s2 = fam.psi_d2(u)
+    jac = model.jac_values(x, theta)
+    s1 = sol.fam.psi_d1(sol.u)
+    s2 = sol.fam.psi_d2(sol.u)
 
     ghat = np.einsum("i,ild->ld", w, jac)
     omega = (g * w[:, None]).T @ g
@@ -262,14 +252,14 @@ def variance_blocks(fam, model, sample, theta, t):
     dm_dt[:, 0] += 1.0
     dm_dth = -(s1[:, None] * jt)
 
-    s11 = -((A * (w * s2)[:, None]).T @ A)
-    s12 = -((A * (w * s2)[:, None]).T @ jt)
+    a_s2 = (A * (w * s2)[:, None]).T  # one weighted design for S11 and S12
+    s11, s12 = -(a_s2 @ A), -(a_s2 @ jt)
+    del a_s2  # its n x (1 + l) block serves the arrays below: fewer page faults
     s12[1:, :] -= np.einsum("i,ild->ld", w * s1, jac)
 
-    def grad_at(th):  # DualSolution.envelope_grad at th with t fixed, no box check
-        u_th = t[0] + model.g_values(sample.points, th) @ t[1:]
-        jt_th = np.einsum("ild,l->id", model.jac_values(sample.points, th), t[1:])
-        return -((w * fam.psi_d1(u_th)) @ jt_th)
+    def grad_at(th):  # the envelope gradient at th, no box check; its u is
+        # t[0] + g t[1:], not A t: S22's bits depend on that rounding
+        return sol._envelope_at(th, t[0] + model.g_values(x, th) @ t[1:])
 
     d = model.d
     s22 = np.empty((d, d))

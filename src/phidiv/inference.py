@@ -72,11 +72,12 @@ def test_model(fam, model, sample, alpha=0.05, options=None):
     """Test whether any parameter value satisfies all moment constraints."""
     _check_overidentified(model)
     est = estimate(fam, model, sample, options=options)
-    return _model_report(model, sample, est, alpha), est
+    return _model_report(est, alpha), est
 
 
-def _model_report(model, sample, est, alpha):
-    stat = 2.0 * sample.n * est.divergence_hat
+def _model_report(est, alpha):
+    model = est.inner.model
+    stat = 2.0 * est.inner.sample.n * est.divergence_hat
     return _report("model-test", stat, model.l - model.d, alpha, est.sigma2_hat)
 
 
@@ -92,7 +93,7 @@ def test_models(fam, model, samples, alpha=0.05, options=None):
     for est in estimate_many(fam, model, samples, options):
         if not isinstance(est, PhidivError):
             try:
-                est = _model_report(model, est.inner.sample, est, alpha), est
+                est = _model_report(est, alpha), est
             except PhidivError as exc:
                 est = exc
         yield est

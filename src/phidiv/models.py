@@ -41,8 +41,8 @@ class MomentModel:
             np.asarray(self.theta_lo, dtype=float), (self.d,)).copy()
         hi = np.full(self.d, 10.0) if self.theta_hi is None else np.broadcast_to(
             np.asarray(self.theta_hi, dtype=float), (self.d,)).copy()
-        if np.any(lo >= hi):
-            raise ValueError("parameter box must have lo < hi")
+        if not (np.isfinite(lo) & np.isfinite(hi) & (lo < hi)).all():  # compact, as promised
+            raise ValueError("parameter box must be finite with lo < hi")
         # read-only copies: a model is shared (get_model), so no caller may
         # change its box or Jacobian for the others
         for name, arr in (("jacobian", jac), ("theta_lo", lo), ("theta_hi", hi)):

@@ -16,7 +16,7 @@ from phidiv import (CHI2, HELLINGER, KL, KLM, EstimateOptions, WeightedSample,
                     power_approx, sample_size, sample_size_real, solve_inner)
 from phidiv import test_theta_composite as composite_test
 from phidiv import test_theta_simple as simple_test
-from phidiv.estimate import profile_gradient, profile_objective
+from phidiv.estimate import profile_objective
 from phidiv.families import power_family
 from phidiv.estimate import estimate_many
 from phidiv.simulate import (MC_OPTIONS, SimulationPlan, discretize_uniform, generate,
@@ -146,7 +146,7 @@ def test_criterion_05_envelope_gradient():
         _, sol = profile_objective(fam, MV, s, theta)
         if not sol.converged:
             continue
-        grad = profile_gradient(fam, MV, s, theta, sol)
+        grad = sol.envelope_grad()
         h = 1e-6
         up, _ = profile_objective(fam, MV, s, theta + h)
         dn, _ = profile_objective(fam, MV, s, theta - h)
@@ -216,7 +216,7 @@ def test_criterion_08_asymptotic_variance():
     big = np.random.Generator(np.random.PCG64(99)).uniform(-1, 1, size=1_000_000)
     ref = WeightedSample.from_points(big)
     from phidiv.estimate import variance_blocks
-    v_hat = variance_blocks(CHI2, MV, ref, theta0, np.zeros(3))[0][0, 0]
+    v_hat = variance_blocks(chi2_closed_form(MV, ref, theta0))[0][0, 0]
     plan = SimulationPlan(model="mean-variance", family="chi2", n_list=(500,),
                           runs=1000, alpha=0.05, epsilon_grid=(0.0,), seed=4)
     draws = []

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from phidiv import (CHI2, CHI2M, HELLINGER, KL, KLM, DomainError, ParameterSpaceError,
                     RankDeficiencyError, WeightedSample, chi2_closed_form,
                     family, get_model, power_family, solve_inner)
-from phidiv import dual
+from phidiv import EstimateOptions, dual
 from phidiv.dual import _augmented, _grad, _hess, _objective, solve_inner_many
+from phidiv.estimate import estimate_many
 
 from conftest import (el_reduced_solve, overflowing_sample, primal_grid,
                       primal_quadratic, random_feasible_instance)
@@ -161,6 +162,16 @@ def test_solution_u_is_design_matrix_times_t(fam, rng):
     warm = solve_one(fam, MV, sample, theta, 0.5 * cold.t)
     closed = chi2_closed_form(MV, sample, theta)
     for sol in (cold, warm, closed):
+        assert (A @ sol.t).tobytes() == sol.u.tobytes()
+    # a stacked chunk, fits in lockstep and a large lone solve in its
+    # workspace: variance_blocks reads u in place of A @ t
+    samples = [WeightedSample.from_points(rng.uniform(-1.0, 1.2, size=40)) for _ in range(4)]
+    stacked = list(solve_inner_many(fam, MV, [(s, [th], None)
+                                              for s, th in zip(samples, (0.3, 0.4, 0.5, 0.6))]))
+    fits = [est.inner for est in estimate_many(fam, MV, samples, EstimateOptions(n_starts=2))]
+    large = solve_inner(fam, MV, WeightedSample.from_points(rng.uniform(-1.0, 1.2, 20_000)), theta)
+    for sol in stacked + fits + [large]:
+        A = _augmented(sol.model, sol.sample, sol.theta)
         assert (A @ sol.t).tobytes() == sol.u.tobytes()
 
 

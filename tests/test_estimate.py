@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from phidiv import (CHI2, KL, KLM, DomainError, EstimateOptions, EstimationError,
                     MomentModel, PhidivError, WeightedSample, builtin_model, dual,
-                    estimate, family, get_model, profile_gradient, profile_objective)
+                    estimate, family, get_model, profile_objective)
 from phidiv.estimate import _lockstep, estimate_many, variance_blocks
 from phidiv.inference import test_models as model_tests
 from phidiv.simulate import MC_OPTIONS
@@ -59,7 +59,7 @@ def test_profile_gradient_matches_finite_differences(rng):
         val, sol = profile_objective(fam, MV, s, theta)
         if not sol.converged:
             continue
-        grad = profile_gradient(fam, MV, s, theta, sol)
+        grad = sol.envelope_grad()
         h = 1e-6
         up, _ = profile_objective(fam, MV, s, theta + h)
         dn, _ = profile_objective(fam, MV, s, theta - h)
@@ -71,24 +71,23 @@ def test_profile_gradient_matches_finite_differences(rng):
 def test_profile_gradient_zero_when_constraints_hold():
     s = WeightedSample.from_points(np.array([0.0, 2.0]))
     val, sol = profile_objective(KL, MEAN, s, [1.0])
-    grad = profile_gradient(KL, MEAN, s, [1.0], sol)
+    grad = sol.envelope_grad()
     assert np.allclose(grad, 0.0, atol=1e-8)
-
-
-def test_profile_gradient_requires_convergence():
-    s01 = WeightedSample.from_points(np.array([0.0, 1.0]))
-    _, sol = profile_objective(KLM, MEAN, s01, [1.0])
-    with pytest.raises(EstimationError):
-        profile_gradient(KLM, MEAN, s01, [1.0], sol)
 
 
 S200 = WeightedSample.from_points(np.random.default_rng(0).uniform(-1.0, 1.2, 200))
 
 
-def test_profile_gradient_takes_a_solve_made_with_an_earlier_get_model():
-    _, sol = profile_objective(KLM, get_model("mean-variance"), S200, [0.4])
-    grad = profile_gradient(KLM, get_model("mean-variance"), S200, [0.4], sol)
-    assert grad.tobytes() == sol.envelope_grad().tobytes()
+def test_profile_gradient_requires_convergence():
+    # the profile gradient is envelope_grad() of a converged solve; any
+    # other is refused with EstimationError, not with a numpy error
+    s01 = WeightedSample.from_points(np.array([0.0, 1.0]))
+    unbounded = dual.solve_inner(KLM, MEAN, s01, [1.0])
+    [above] = dual.solve_inner_many(KLM, MV, [(S200, [0.4], None)], stop=-1.0)
+    for sol, status in ((unbounded, "unbounded"), (above, "above-stop")):
+        assert sol.status == status
+        with pytest.raises(EstimationError, match=f"status={status}"):
+            sol.envelope_grad()
 
 
 def test_solutions_and_fits_compare_by_identity():
@@ -97,24 +96,6 @@ def test_solutions_and_fits_compare_by_identity():
     for x, y in ((fit.inner, other.inner), (fit, other)):
         assert (x == x) is True and (x == y) is False and (x != y) is True
         assert len({x, y, x}) == 2
-
-
-@pytest.mark.parametrize("other", [
-    {"theta": [0.9]}, {"model": MEAN}, {"fam": KL},
-    {"sample": WeightedSample.from_points(np.random.default_rng(1).uniform(-1.0, 1.2, 200))},
-    {"sample": WeightedSample.from_points(S200.points[:100])}],
-    ids=["theta", "model", "fam", "sample", "smaller-sample"])
-def test_profile_gradient_refuses_a_solve_of_another_problem(other):
-    # a solution's gradient is that of its own problem: arguments naming
-    # another are refused, not answered with it or with a numpy error
-    _, sol = profile_objective(KLM, MV, S200, [0.4])
-    assert sol.converged
-    args = {"fam": KLM, "model": MV, "sample": S200, "theta": np.array([0.4])}
-    for theta in (args["theta"], 0.4):  # equal after check_theta
-        got = profile_gradient(**{**args, "theta": theta}, inner=sol)
-        assert got.tobytes() == sol.envelope_grad().tobytes()
-    with pytest.raises(ValueError, match="inner is not the solve"):
-        profile_gradient(**{**args, **other}, inner=sol)
 
 
 def test_fit_reads_every_fact_of_its_inner_solve(rng):
@@ -189,7 +170,7 @@ def test_variance_blocks_shapes(rng):
     x = rng.uniform(-1.0, 1.2, size=200)
     s = WeightedSample.from_points(x)
     est = estimate(KLM, MV, s, options=FAST)
-    v, s_mat, m_mat, w_mat = variance_blocks(KLM, MV, s, est.theta_hat, est.t_hat)
+    v, s_mat, m_mat, w_mat = variance_blocks(est.inner)
     dim = 1 + MV.l + MV.d
     assert v.shape == (1, 1)
     assert s_mat.shape == (dim, dim)
@@ -371,6 +352,28 @@ def test_options_reject_a_tolerance_that_is_not_finite_and_positive(name, value)
     with pytest.raises(ValueError, match=f"{name} must be a finite number > 0"):
         EstimateOptions(**{name: value})
     assert getattr(EstimateOptions(**{name: np.float32(1e-6)}), name) == np.float32(1e-6)
+
+
+@pytest.mark.parametrize("theta0", [(np.nan,), np.array([0.3, np.nan]), "abc", ("0.3",),
+                                    [[0.3]], [0.3, [0.4]], (1j,), (True,), [None]],
+                         ids=["nan", "nan-in-array", "str", "str-entry", "matrix", "ragged",
+                              "complex", "bool", "none-entry"])
+def test_options_reject_a_start_that_is_not_a_vector_of_reals(theta0):
+    # nan failed the whole fit after its quadratic search, "abc" raised
+    # numpy's conversion error from inside it
+    with pytest.raises(ValueError, match="theta0 must be a vector of real numbers without nan"):
+        EstimateOptions(theta0=theta0)
+
+
+@pytest.mark.parametrize("theta0", [(50.0,), (np.inf,), (-np.inf,), 0.3, (1,)])
+def test_options_take_a_real_start_and_clip_it_into_the_box(theta0):
+    # the first start is theta0 clipped into the box; the fit does not fail
+    est = estimate(KLM, MV, S200, EstimateOptions(n_starts=1, theta0=theta0))
+    first = est.diagnostics["starts"][0]
+    if "reason" in first:  # a face, +-10, lies beyond every x^2: infeasible
+        assert first["start"] == np.clip(np.atleast_1d(theta0), -10.0, 10.0).tolist()
+        assert first["reason"] == "infeasible start (unbounded)"
+    assert est.inner.converged and MV.theta_lo[0] <= est.theta_hat[0] <= MV.theta_hi[0]
 
 
 def test_overflowing_sample_fails_alone_in_its_batch():

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from phidiv import (CHI2, HELLINGER, KL, KLM, EstimateOptions, PhidivError, WeightedSample,
-                    confidence_region, dual, estimate, profile_gradient, profile_objective,
-                    variance_blocks)
+                    confidence_region, dual, estimate, profile_objective, variance_blocks)
 from phidiv.estimate import estimate_many
 from phidiv.inference import test_models as model_tests
 from phidiv.simulate import MC_OPTIONS
@@ -31,7 +30,7 @@ def test_envelope_gradient_matches_central_differences(fam):
     theta = estimate(fam, SYMMETRIC, NORMAL).theta_hat + np.array([0.05, 0.1])
     _, sol = profile_objective(fam, SYMMETRIC, NORMAL, theta)
     assert sol.converged
-    grad = profile_gradient(fam, SYMMETRIC, NORMAL, theta, sol)
+    grad = sol.envelope_grad()
     h = 1e-5
     for k in range(2):
         step = np.eye(2)[k] * h
@@ -68,7 +67,8 @@ def test_confidence_region_2d_equals_unstopped():
 def test_s22_block_matches_its_analytic_form(fam):
     # off the fit, where t and so both terms below are far from 0
     theta = estimate(fam, SYMMETRIC, NORMAL).theta_hat + np.array([0.05, 0.1])
-    t = profile_objective(fam, SYMMETRIC, NORMAL, theta)[1].t
+    sol = profile_objective(fam, SYMMETRIC, NORMAL, theta)[1]
+    t = sol.t
     x = NORMAL.points[:, 0]
     w = NORMAL.weights
     u = t[0] + SYMMETRIC.g_values(NORMAL.points, theta) @ t[1:]
@@ -76,7 +76,7 @@ def test_s22_block_matches_its_analytic_form(fam):
     # d/dtheta of -sum_i w_i psi'(u_i) J_i' t, with d2g/dmu2 = (0, 2, 6 (x - mu))
     s22 = -(jt * (w * fam.psi_d2(u))[:, None]).T @ jt
     s22[0, 0] -= w @ (fam.psi_d1(u) * (2.0 * t[2] + 6.0 * (x - theta[0]) * t[3]))
-    got = variance_blocks(fam, SYMMETRIC, NORMAL, theta, t)[1][4:, 4:]
+    got = variance_blocks(sol)[1][4:, 4:]
     # central differences with h = 1e-5 (1 + |theta_k|) <= 2.1e-5: truncation
     # h^2 / 6 |third derivative| < 1e-7 for derivatives up to 1e3 on these
     # points, rounding eps sum|terms| / h < 1e-9
@@ -92,7 +92,7 @@ def test_fit_lands_on_the_variance_face():
         assert est.theta_hat[1] == 1e-3 and est.inner.converged, fam.name
         assert abs(est.theta_hat[0] - x.mean()) < 1e-3, fam.name
         # the profile still falls toward smaller v: the face holds the fit
-        assert profile_gradient(fam, SYMMETRIC, sample, est.theta_hat, est.inner)[1] > 0.0
+        assert est.inner.envelope_grad()[1] > 0.0
         # the search moves mu along the face: a direction that kept moving v
         # was cut by the box (KL ended at 0.0107, chi2 at 1.79)
         face, _ = profile_objective(fam, SYMMETRIC, sample, [x.mean(), 1e-3])

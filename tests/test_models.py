@@ -31,6 +31,17 @@ def test_check_theta_rejects_outside_box():
         mean.check_theta([np.nan])
 
 
+@pytest.mark.parametrize("box", [{"theta_lo": np.nan}, {"theta_lo": -np.inf},
+                                 {"theta_hi": np.inf}, {"theta_hi": [np.nan]},
+                                 {"theta_lo": 1.0, "theta_hi": 1.0}],
+                         ids=["lo-nan", "lo-inf", "hi-inf", "hi-nan", "empty"])
+def test_parameter_box_must_be_finite_and_nonempty(box):
+    # the box is compact: a nan bound failed every fit, -inf warned in the
+    # start design and +inf ended in a Gram matrix that is not finite
+    with pytest.raises(ValueError, match="parameter box must be finite with lo < hi"):
+        builtin_model("mean-variance", **box)
+
+
 def test_builtin_dimensions():
     assert builtin_model("mean").l == 1
     assert builtin_model("mean").d == 1

@@ -189,7 +189,7 @@ def test_large_sample_fits_bit_identical():
 def test_lazy_variance_blocks_equal_direct_call():
     sample = generate(PLAN, 3, 0)
     est = estimate(KLM, MV, sample, options=MC_OPTIONS)
-    v, s_mat, m_mat, w_mat = variance_blocks(KLM, MV, sample, est.theta_hat, est.t_hat)
+    v, s_mat, m_mat, w_mat = variance_blocks(est.inner)
     for lazy, direct in ((est.V_hat, v), (est.S_hat, s_mat),
                          (est.M_hat, m_mat), (est.W_hat, w_mat)):
         assert lazy.tobytes() == direct.tobytes()
